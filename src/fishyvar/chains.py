@@ -134,7 +134,7 @@ class Ar1Model:
 
 def ar1_step(model: Ar1Model, x: float, rng: np.random.Generator) -> float:
     """One autoregressive transition.  Broadcasts over array-valued ``x``."""
-    w = rng.standard_normal() if np.isscalar(x) else rng.standard_normal(np.shape(x))
+    w = rng.standard_normal() if isinstance(x, float) else rng.standard_normal(np.shape(x))
     return model.phi * x + model.sigma * w
 
 

@@ -22,6 +22,7 @@ from . import __version__
 from .avar import epave, inefficiency, sample_suave
 from .chains import FiniteChainModel
 from .config import (
+    MAX_REPS,
     MODEL_NAMES,
     TEST_FUNCTIONS,
     ConfigError,
@@ -231,7 +232,7 @@ def _run_epave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     burn_in = cfg.burn_in
     if burn_in is None:
         pilot_samples = sample_meetings(
-            bundle.kernel, bundle.init_sampler, 1, min(cfg.reps, 100), stream.child(2**18)
+            bundle.kernel, bundle.init_sampler, 1, min(cfg.reps, 100), stream.child(MAX_REPS)
         )
         burn_in = pilot_tuning([s.tau for s in pilot_samples], 1, cfg.quantile).k
 
@@ -264,7 +265,7 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.xi == "optimal":
         table = fishy_profile(
             bundle.kernel, h, _state_grid(cfg), anchor, max(cfg.reps // 10, 100),
-            stream.child(2**18),
+            stream.child(MAX_REPS),
         )
     estimates = sample_suave(
         bundle,

@@ -9,6 +9,7 @@ offending key.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +34,7 @@ from .couplings import (
 
 __all__ = [
     "ConfigError",
+    "MAX_REPS",
     "ExperimentConfig",
     "load_config",
     "build_model",
@@ -53,6 +55,11 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
         lambda x: (float(x), float(x) ** 2), 2, "identity-and-square"
     ),
 }
+
+
+# Replicate r of a CLI run draws from stream child(r); child(MAX_REPS) is
+# reserved for the EPAVE burn-in pilot and the optimal-xi fishy profile.
+MAX_REPS = 2**18
 
 
 class ConfigError(ValueError):
@@ -100,7 +107,7 @@ class ExperimentConfig:
              "estimator.xi", "must be uniform, optimal or proportional-to-abs-weight"),
             (self.thin >= 1, "estimator.thin", "must be at least 1"),
             (self.t_steps >= 2, "estimator.t_steps", "must be at least 2"),
-            (self.reps >= 1, "reps", "must be at least 1"),
+            (1 <= self.reps <= MAX_REPS, "reps", f"must lie in [1, {MAX_REPS}]"),
             (self.workers >= 1, "workers", "must be at least 1"),
             (self.t_max >= 0, "t_max", "must be nonnegative"),
             (0.0 < self.quantile < 1.0, "quantile", "must lie in (0, 1)"),
@@ -109,6 +116,15 @@ class ExperimentConfig:
         for ok, key, message in checks:
             if not ok:
                 raise ConfigError(f"config key {key!r} {message}")
+        if self.reference_avar is not None:
+            # parsed like the --reference-avar flag, so YAML's string "1e4" works
+            try:
+                ref = float(self.reference_avar)
+            except (TypeError, ValueError):
+                ref = math.nan
+            if isinstance(self.reference_avar, bool) or not (math.isfinite(ref) and ref > 0):
+                raise ConfigError("config key 'reference_avar' must be a positive finite number")
+            self.reference_avar = ref
         if self.test_function not in TEST_FUNCTIONS and self.model != "finite":
             raise ConfigError(
                 f"config key 'test_function' unknown name {self.test_function!r}; "
@@ -138,6 +154,7 @@ _CONFIG_KEYS = {
     "t_min": ("t_min", None),
     "n_max": ("n_max", None),
     "quantile": ("quantile", None),
+    "reference_avar": ("reference_avar", None),
     "output_format": ("output", "format"),
     "output_dir": ("output", "dir"),
 }

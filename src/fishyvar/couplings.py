@@ -54,7 +54,6 @@ COUPLING_KINDS = (
     "maximal-rejection",
     "reflection-maximal",
     "common-random-numbers",
-    "switch-to-crn-composite",
 )
 
 
@@ -122,11 +121,13 @@ def reflection_maximal_1d(
 
     Uses exactly one Normal and one uniform draw.  On acceptance Y = X (the
     chains meet); on rejection the residual is reflected, so
-    (X - mu1) = -(Y - mu2).  Broadcasts over arrays of means.
+    (X - mu1) = -(Y - mu2).  Broadcasts over arrays of means; means that are
+    not both floats (arrays, integers) take the broadcasting branch, which
+    consumes the same draws and returns arrays.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    if np.isscalar(mu1) and np.isscalar(mu2):
+    if isinstance(mu1, float) and isinstance(mu2, float):
         z = (mu1 - mu2) / sigma
         xdot = rng.standard_normal()
         w = rng.random()

@@ -247,9 +247,15 @@ def _categorical(xi: np.ndarray, size: int, rng: np.random.Generator) -> np.ndar
 class UniformReservoir:
     """R independent single-item reservoirs over a stream of unknown length.
 
-    Offering the n-th item replaces each slot independently with probability
-    1/n, so after the stream ends every slot holds one uniform selection,
-    i.i.d. across slots.  Memory stays bounded by R items.
+    Each slot holds one uniform selection among the items offered so far,
+    i.i.d. across slots, and memory stays bounded by R items.  Instead of
+    flipping a 1/n coin per slot for every item, each slot draws the count at
+    which it is next replaced (skip-ahead sampling; Vitter 1985, "Random
+    sampling with a reservoir", ACM TOMS 11(1); Li 1994, Algorithm L).  A slot
+    that takes the n-th item keeps it past item m with probability
+    prod_{j=n+1}^{m} (1 - 1/j) = n/m, so its next count is floor(n/U) + 1 with
+    U uniform on (0, 1].  Every slot takes the first item, and a stream of N
+    items costs about R (1 + ln N) uniforms instead of R N.
     """
 
     def __init__(self, R: int, rng: np.random.Generator):
@@ -259,13 +265,22 @@ class UniformReservoir:
         self.items: list = [None] * R
         self.indices = np.full(R, -1, dtype=int)
         self.count = 0
+        # 1-based item count at which each slot is next replaced (exact
+        # integers in float64 up to 2**53, far beyond any reachable count)
+        self._next = np.ones(R)
+        self._due = 1.0
 
     def offer(self, item) -> None:
         self.count += 1
-        replace = self._rng.random(len(self.items)) < 1.0 / self.count
-        for slot in np.nonzero(replace)[0]:
+        if self.count < self._due:
+            return
+        n = self.count
+        slots = np.flatnonzero(self._next == n)
+        for slot in slots.tolist():
             self.items[slot] = item
-            self.indices[slot] = self.count - 1
+        self.indices[slots] = n - 1
+        self._next[slots] = np.floor(n / (1.0 - self._rng.random(slots.size))) + 1.0
+        self._due = float(self._next.min())
 
 
 def reservoir_select(

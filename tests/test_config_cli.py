@@ -6,6 +6,7 @@ import pytest
 from fishyvar.chains import FiniteChainModel
 from fishyvar.cli import main, run_experiment
 from fishyvar.config import (
+    MAX_REPS,
     ConfigError,
     ExperimentConfig,
     build_bundle,
@@ -285,6 +286,35 @@ def test_umcmc_loss_factor_report(tmp_path):
     assert summary["loss_factor_vs_avar"] == pytest.approx(summary["inefficiency"] / 100.0)
     lines = (tmp_path / "umcmc.csv").read_text().splitlines()
     assert lines[0] == "rep,value,cost"
+
+
+def test_reference_avar_from_yaml(tmp_path):
+    cfg_file = tmp_path / "experiment.yaml"
+    cfg_file.write_text("model:\n  name: ar1\n  phi: 0.9\nreference_avar: 100.0\n")
+    assert load_config(cfg_file).reference_avar == 100.0
+    args = ["umcmc", "--config", str(cfg_file), "--k", "20", "--L", "10", "--ell", "100"]
+    code = main(args + ["--reps", "50", "--seed", "6", "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "umcmc_summary.json").read_text())
+    assert summary["loss_factor_vs_avar"] == pytest.approx(summary["inefficiency"] / 100.0)
+
+
+def test_bad_reference_avar_from_yaml_exits_2(tmp_path):
+    cfg_file = tmp_path / "experiment.yaml"
+    for value in ("abc", "0", "-5.0", "true", ".nan"):
+        cfg_file.write_text(f"model:\n  name: ar1\nreference_avar: {value}\n")
+        with pytest.raises(ConfigError, match="reference_avar"):
+            load_config(cfg_file)
+        assert main(["umcmc", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    cfg_file.write_text("reference_avar: 1e4\n")
+    assert load_config(cfg_file).reference_avar == 1e4
+
+
+def test_reps_beyond_reserved_pilot_stream_exits_2(tmp_path):
+    assert load_config(None, {"reps": MAX_REPS}).reps == MAX_REPS
+    with pytest.raises(ConfigError, match="reps"):
+        load_config(None, {"reps": MAX_REPS + 1})
+    assert main(["suave", "--reps", str(MAX_REPS + 1), "--out", str(tmp_path)]) == 2
 
 
 def test_pilot_and_tailfit_json(tmp_path):

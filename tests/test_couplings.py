@@ -358,7 +358,7 @@ def test_coupling_spec_validation(np_rng):
     with pytest.raises(ValueError):
         ar1_kernel(Ar1Model(0.5), CouplingSpec("maximal-rejection"))
     with pytest.raises(ValueError):
-        finite_kernel(random_finite_chain(np_rng), CouplingSpec("switch-to-crn-composite"))
+        finite_kernel(random_finite_chain(np_rng), CouplingSpec("reflection-maximal"))
     with pytest.raises(TypeError):
         make_coupled_kernel(object())
     kernel = make_coupled_kernel(Ar1Model(0.5))

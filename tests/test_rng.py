@@ -33,6 +33,27 @@ def test_sibling_subtrees_do_not_collide():
     assert {k.stream_id for k in left}.isdisjoint({k.stream_id for k in right})
 
 
+def test_child_index_overflow_raises_at_branch_width():
+    base = RngStream(4, 9)
+    assert base.child(2**20 - 1).stream_id == 9 * 2**20 + 2**20
+    with pytest.raises(ValueError):
+        base.child(2**20)
+    with pytest.raises(ValueError):
+        base.children(2**20 + 1)
+
+
+def test_stream_id_beyond_64_bits_raises_instead_of_aliasing():
+    top = RngStream(0, 2**64 - 1)
+    assert not np.array_equal(top.generator().random(4), RngStream(0, 0).generator().random(4))
+    with pytest.raises(ValueError):
+        RngStream(0, 2**64).generator()
+    # one level below a parent whose last children straddle the 64-bit limit
+    parent = RngStream(0, 2**44 - 1)
+    assert parent.child(2**20 - 2) == top
+    with pytest.raises(ValueError):
+        parent.child(2**20 - 1).generator()
+
+
 def test_negative_ids_rejected():
     with pytest.raises(ValueError):
         RngStream(1, -1)

@@ -262,6 +262,37 @@ def test_reservoir_rejects_empty_stream():
         reservoir_select([], 3, RngStream(9).generator())
 
 
+def test_reservoir_slot_pairs_jointly_uniform():
+    # two slots over three items: all 9 (slot 0, slot 1) pairs equally likely,
+    # so the slots are uniform and independent of each other
+    rng = RngStream(10).generator()
+    n = 27_000
+    picks = np.array([reservoir_select(range(3), 2, rng) for _ in range(n)])
+    counts = np.bincount(3 * picks[:, 0] + picks[:, 1], minlength=9)
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+class _CountingGenerator:
+    """Generator wrapper that counts the uniforms drawn through it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.uniforms = 0
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
+
+
+def test_reservoir_skip_ahead_draws_logarithmically_many_uniforms():
+    R, n = 50, 10**4
+    rng = _CountingGenerator(RngStream(11).generator())
+    picks = reservoir_select(range(n), R, rng)
+    assert picks.shape == (R,) and np.all((0 <= picks) & (picks < n))
+    # each slot is replaced about H_n ~ ln n times, far from one draw per item
+    assert rng.uniforms <= 2 * R * (1 + np.log(n))
+
+
 # ---------------------------------------------------------------------------
 # Pilot tuning
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ rather than a fitted model.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chains import ModelBundle, State, TestFunction, states_equal
-from .diagnostics import percentile_interval
+from .diagnostics import bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
-from .rng import RngStream
+from .rng import RngStream, as_generator
 from .simulate import DEFAULT_TRANSITION_BUDGET, map_replicates, run_coupled
 from .umcmc import (
     SignedMeasure,
@@ -81,9 +82,7 @@ class AvarEstimate:
 
     @property
     def scalar(self) -> float:
-        if isinstance(self.value, np.ndarray):
-            return float(self.value[0, 0])
-        return float(self.value)
+        return float(np.ravel(self.value)[0])
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,7 @@ def unbiased_target_variance(
     """
     if h.arity != 1:
         raise ValueError("unbiased_target_variance expects a scalar test function")
-    h2 = TestFunction(lambda s: h.eval_scalar(s) ** 2, arity=1)
-    m1 = float(pihat1.integrate(h)[0])
-    m2 = float(pihat2.integrate(h)[0])
-    s1 = float(pihat1.integrate(h2)[0])
-    s2 = float(pihat2.integrate(h2)[0])
-    return 0.5 * (s1 + s2) - m1 * m2
+    return float(_target_covariance(_moments(pihat1, h), _moments(pihat2, h))[0, 0])
 
 
 def selection_probs(
@@ -176,6 +170,54 @@ def selection_probs(
 # ---------------------------------------------------------------------------
 
 
+class _Moments:
+    """Integrals of h and of h h^T against a signed measure, fed atom by atom.
+
+    The one accumulator behind both SUAVE routes and the target variance.
+    For arity 1 the sums stay Python floats: two float products per atom.
+    """
+
+    def __init__(self, h: TestFunction):
+        self._h = h.evaluator
+        self._outer = operator.mul if h.arity == 1 else np.outer
+        self._sum_h = 0.0
+        self._sum_hh = 0.0
+
+    def add(self, atom: State, weight: float) -> None:
+        hv = self._h(atom)
+        wh = weight * hv
+        self._sum_h += wh
+        self._sum_hh += self._outer(wh, hv)
+
+    @property
+    def mean_h(self) -> np.ndarray:
+        """Integral of h, shape (d,)."""
+        return np.array(self._sum_h, ndmin=1)
+
+    @property
+    def raw_cross(self) -> np.ndarray:
+        """Integral of h h^T, shape (d, d)."""
+        return np.array(self._sum_hh, ndmin=2)
+
+
+def _moments(pihat: SignedMeasure, h: TestFunction) -> _Moments:
+    acc = _Moments(h)
+    for z, w in zip(pihat.atoms, pihat.weights.tolist()):
+        acc.add(z, w)
+    return acc
+
+
+def _target_covariance(a, b) -> np.ndarray:
+    """Unbiased stationary covariance of h from two independent measures.
+
+    The mean of the integrals of h h^T minus the symmetrized outer product of
+    the integrals of h; ``a`` and ``b`` carry each measure's ``mean_h`` and
+    ``raw_cross``.
+    """
+    prod = np.outer(a.mean_h, b.mean_h)
+    return 0.5 * (a.raw_cross + b.raw_cross) - 0.5 * (prod + prod.T)
+
+
 @dataclass
 class _MeasureSummary:
     """What the combination step needs from one signed measure."""
@@ -189,79 +231,47 @@ class _MeasureSummary:
     cost_units: int
 
 
-class _StreamingMeasure:
+class _StreamingMeasure(_Moments):
     """Online signed-measure summary fed by run visitors, with reservoirs.
 
     Consumes the atom stream in generation order: ergodic atoms as X_t enters
-    [k, ell], correction pairs as each coupled draw lands unmet (plus the
-    first pair, whose X side comes from the warm-up phase when k = 0).  Memory
-    is bounded by the R reservoir slots.
+    [k, ell], then the correction pair (X_{s+lag}, Y_s) as each Y_s with
+    s >= k arrives unmet.  Memory is bounded by the R reservoir slots.
     """
 
     def __init__(self, h: TestFunction, k: int, ell: int, lag: int, R: int, rng):
-        self.h = h
+        super().__init__(h)
         self.k = k
         self.ell = ell
         self.lag = lag
         self.w0 = 1.0 / (ell - k + 1)
         self.reservoir = UniformReservoir(R, rng)
-        self._scalar = h.arity == 1
-        if self._scalar:
-            self._sum_h = 0.0
-            self._sum_h2 = 0.0
-        else:
-            self._sum_h = np.zeros(h.arity)
-            self._sum_h2 = np.zeros((h.arity, h.arity))
         self._x_last: State | None = None
-        self._y0: State | None = None
-
-    def _add_atom(self, state: State, weight: float) -> None:
-        if self._scalar:
-            hv = self.h.eval_scalar(state)
-            self._sum_h += weight * hv
-            self._sum_h2 += weight * hv * hv
-        else:
-            hv = self.h.eval(state)
-            self._sum_h = self._sum_h + weight * hv
-            self._sum_h2 = self._sum_h2 + weight * np.outer(hv, hv)
-        self.reservoir.offer((state, weight))
 
     def on_x(self, t: int, x: State) -> None:
         self._x_last = x
         if self.k <= t <= self.ell:
-            self._add_atom(x, self.w0)
-        if t == self.lag and self.k == 0:
-            # first correction pair (X_lag, Y_0); later pairs arrive coupled
-            v = vt_weight(t, self.k, self.ell, self.lag) * self.w0
-            self._add_atom(x, v)
-            self._add_atom(self._y0, -v)
+            self.add(x, self.w0)
+            self.reservoir.offer((x, self.w0))
 
     def on_y(self, s: int, y: State) -> None:
-        if s == 0:
-            self._y0 = y
-            return
-        t = s + self.lag
-        if states_equal(self._x_last, y):
+        # Y_0 is not a coupled draw: (X_lag, Y_0) is a correction pair even if equal
+        if s > 0 and states_equal(self._x_last, y):
             return  # this draw met: correction terms stop at tau - 1
-        if t >= self.k + self.lag:
-            v = vt_weight(t, self.k, self.ell, self.lag) * self.w0
-            self._add_atom(self._x_last, v)
-            self._add_atom(y, -v)
+        if s >= self.k:
+            v = vt_weight(s + self.lag, self.k, self.ell, self.lag) * self.w0
+            for atom, weight in ((self._x_last, v), (y, -v)):
+                self.add(atom, weight)
+                self.reservoir.offer((atom, weight))
 
     def summary(self) -> _MeasureSummary:
         n = self.reservoir.count
         atoms = [item[0] for item in self.reservoir.items]
         weights = np.array([item[1] for item in self.reservoir.items])
-        if self._scalar:
-            mean_h = np.array([self._sum_h])
-            raw_cross = np.array([[self._sum_h2]])
-        else:
-            mean_h = self._sum_h
-            raw_cross = self._sum_h2
         return _MeasureSummary(
             n_atoms=n,
-            mean_h=mean_h,
-            raw_cross=raw_cross,
+            mean_h=self.mean_h,
+            raw_cross=self.raw_cross,
             selected_atoms=atoms,
             selected_weights=weights,
             selected_probs=np.full(len(atoms), 1.0 / n),
@@ -269,33 +279,69 @@ class _StreamingMeasure:
         )
 
 
-def _summarize_retained(
-    pihat: SignedMeasure,
+def _draw_summaries(
+    bundle: ModelBundle,
     h: TestFunction,
-    other_mean_scalar: float,
+    k: int,
+    ell: int,
+    lag: int,
     R: int,
     xi_kind: str,
-    second_moment_table,
     rng: np.random.Generator,
-) -> _MeasureSummary:
-    pruned = pihat.pruned()
-    probs = selection_probs(pruned, h, other_mean_scalar, second_moment_table, xi_kind)
-    idx = _categorical(probs.xi, R, rng)
-    d = h.arity
-    mean_h = pihat.integrate(h)
-    raw_cross = np.zeros((d, d))
-    for z, w in zip(pihat.atoms, pihat.weights):
-        hv = h.eval(z)
-        raw_cross += w * np.outer(hv, hv)
-    return _MeasureSummary(
-        n_atoms=pruned.n_atoms,
-        mean_h=mean_h,
-        raw_cross=raw_cross,
-        selected_atoms=[pruned.atoms[i] for i in idx],
-        selected_weights=pruned.weights[idx],
-        selected_probs=probs.xi[idx],
-        cost_units=pihat.cost_units,
-    )
+    second_moment_table,
+    budget: int,
+) -> list[_MeasureSummary]:
+    """Draw SUAVE's two independent signed measures and R atoms from each.
+
+    Uniform selection streams each run's atoms through reservoirs and keeps no
+    trajectory.  Other selections retain both measures, since each measure's
+    probabilities depend on the other's integral of h.
+    """
+    kernel = bundle.kernel
+    init = bundle.init_sampler
+    summaries, measures = [], []
+    for _ in range(2):
+        x0 = init(rng)
+        y0 = init(rng)
+        if xi_kind != "uniform":
+            run = run_coupled(kernel, x0, y0, lag, ell, rng, budget=budget)
+            measures.append(signed_measure(run, k, ell))
+            continue
+        acc = _StreamingMeasure(h, k, ell, lag, R, rng)
+        run = run_coupled(
+            kernel,
+            x0,
+            y0,
+            lag,
+            ell,
+            rng,
+            keep_paths=False,
+            budget=budget,
+            on_x=acc.on_x,
+            on_y=acc.on_y,
+        )
+        summary = acc.summary()
+        summary.cost_units = estimator_cost(k, ell, lag, run.meeting_time)
+        summaries.append(summary)
+
+    moments = [_moments(pihat, h) for pihat in measures]
+    for pihat, own, other in zip(measures, moments, moments[::-1]):
+        pruned = pihat.pruned()
+        other_mean = float(other.mean_h[0])  # read by optimal selection, which needs arity 1
+        probs = selection_probs(pruned, h, other_mean, second_moment_table, xi_kind)
+        idx = _categorical(probs.xi, R, rng)
+        summaries.append(
+            _MeasureSummary(
+                n_atoms=pruned.n_atoms,
+                mean_h=own.mean_h,
+                raw_cross=own.raw_cross,
+                selected_atoms=[pruned.atoms[i] for i in idx],
+                selected_weights=pruned.weights[idx],
+                selected_probs=probs.xi[idx],
+                cost_units=pihat.cost_units,
+            )
+        )
+    return summaries
 
 
 def suave_multivariate(
@@ -310,7 +356,6 @@ def suave_multivariate(
     rng: np.random.Generator | RngStream | None = None,
     second_moment_table: FishyProfile | Callable[[State], float] | None = None,
     budget: int = DEFAULT_TRANSITION_BUDGET,
-    _swap_labels: bool = False,
 ) -> AvarEstimate:
     """One subsampled unbiased estimate of the d x d asymptotic covariance.
 
@@ -330,67 +375,22 @@ def suave_multivariate(
         raise ValueError(f"unknown selection kind {xi_kind!r}; valid: {XI_KINDS}")
     if xi_kind == "optimal" and h.arity != 1:
         raise ValueError("optimal selection probabilities require a scalar test function")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    if rng is None:
-        rng = RngStream(0).generator()
-    kernel = bundle.kernel
-    init = bundle.init_sampler
-
-    summaries: list[_MeasureSummary] = []
-    if xi_kind == "uniform":
-        # Streaming route: reservoirs bound memory, trajectories are not kept.
-        for _ in range(2):
-            x0 = init(rng)
-            y0 = init(rng)
-            acc = _StreamingMeasure(h, k, ell, lag, R, rng)
-            run = run_coupled(
-                kernel,
-                x0,
-                y0,
-                lag,
-                ell,
-                rng,
-                keep_paths=False,
-                budget=budget,
-                on_x=acc.on_x,
-                on_y=acc.on_y,
-            )
-            summary = acc.summary()
-            summary.cost_units = estimator_cost(k, ell, lag, run.meeting_time)
-            summaries.append(summary)
-    else:
-        # Non-uniform selection needs every atom, so retain the measures.
-        measures = []
-        for _ in range(2):
-            x0 = init(rng)
-            y0 = init(rng)
-            run = run_coupled(kernel, x0, y0, lag, ell, rng, budget=budget)
-            measures.append(signed_measure(run, k, ell))
-        for j, pihat in enumerate(measures):
-            other_mean = float(measures[1 - j].integrate(h)[0]) if h.arity == 1 else 0.0
-            summaries.append(
-                _summarize_retained(pihat, h, other_mean, R, xi_kind, second_moment_table, rng)
-            )
-
-    if _swap_labels:
-        summaries = summaries[::-1]
+    rng = as_generator(rng)
+    summaries = _draw_summaries(
+        bundle, h, k, ell, lag, R, xi_kind, rng, second_moment_table, budget
+    )
+    vhat_pi = _target_covariance(*summaries)
 
     d = h.arity
-    m = [s.mean_h for s in summaries]
-    cross = [s.raw_cross for s in summaries]
-    vhat_pi = 0.5 * (cross[0] + cross[1]) - 0.5 * (np.outer(m[0], m[1]) + np.outer(m[1], m[0]))
-
     correction = np.zeros((d, d))
     cost_fishy = 0
-    for j, summary in enumerate(summaries):
-        other_mean = m[1 - j]
+    for summary, other in zip(summaries, summaries[::-1]):
         for z, w, prob in zip(
             summary.selected_atoms, summary.selected_weights, summary.selected_probs
         ):
-            fishy = estimate_fishy(kernel, h, z, y, rng, budget=budget)
+            fishy = estimate_fishy(bundle.kernel, h, z, y, rng, budget=budget)
             cost_fishy += fishy.cost_units
-            a = h.eval(z) - other_mean
+            a = h.eval(z) - other.mean_h
             g = fishy.value
             correction += (w / prob) * 0.5 * (np.outer(a, g) + np.outer(g, a))
     correction /= R
@@ -516,10 +516,7 @@ def epave(
         raise ValueError("thin must be at least 1")
     if h.arity != 1:
         raise ValueError("epave expects a scalar test function")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    if rng is None:
-        rng = RngStream(0).generator()
+    rng = as_generator(rng)
     kernel = bundle.kernel
     step = kernel.base.step
     hfn = h.eval_scalar
@@ -587,25 +584,16 @@ def inefficiency(
     """
     if len(estimates) < 2:
         raise ValueError("inefficiency requires at least 2 replicates")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    if rng is None:
-        rng = RngStream(0).generator()
-    values = np.array([_scalar_value(e) for e in estimates])
-    costs = np.array([_cost(e) for e in estimates], dtype=float)
+    values = np.array([float(np.ravel(e.value)[0]) for e in estimates])
+    costs = np.array([e.cost_units for e in estimates], dtype=float)
     n = len(values)
     variance = float(values.var(ddof=1))
     mean_cost = float(costs.mean())
 
-    var_bs = np.empty(n_resamples)
-    cost_bs = np.empty(n_resamples)
-    done = 0
-    while done < n_resamples:
-        block = min(1000, n_resamples - done)
-        idx = rng.integers(0, n, size=(block, n))
-        var_bs[done : done + block] = values[idx].var(axis=1, ddof=1)
-        cost_bs[done : done + block] = costs[idx].mean(axis=1)
-        done += block
+    def variance_and_cost(idx):
+        return np.stack([values[idx].var(axis=1, ddof=1), costs[idx].mean(axis=1)], axis=1)
+
+    var_bs, cost_bs = bootstrap_resample(n, n_resamples, rng, variance_and_cost).T
     prod_bs = var_bs * cost_bs
 
     return InefficiencySummary(
@@ -617,16 +605,3 @@ def inefficiency(
         ci_inefficiency=percentile_interval(prod_bs, level),
         n=n,
     )
-
-
-def _scalar_value(estimate) -> float:
-    value = estimate.value
-    if isinstance(value, np.ndarray):
-        return float(value.reshape(-1)[0])
-    return float(value)
-
-
-def _cost(estimate) -> int:
-    if isinstance(estimate, AvarEstimate):
-        return estimate.cost_total
-    return estimate.cost_units

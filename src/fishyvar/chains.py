@@ -105,6 +105,11 @@ class TestFunction:
         """Scalar fast path, valid only when ``arity == 1``."""
         return float(self.fn(state))
 
+    @property
+    def evaluator(self) -> Callable[[State], float | np.ndarray]:
+        """``eval_scalar`` at arity 1, else ``eval``: one loop then serves every arity."""
+        return self.eval_scalar if self.arity == 1 else self.eval
+
 
 # ---------------------------------------------------------------------------
 # AR(1)

@@ -103,12 +103,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_meetings(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _meetings(cfg: ExperimentConfig, lag: int) -> list:
     bundle, _ = build_bundle(cfg)
     stream = RngStream(cfg.seed)
-    samples = sample_meetings(
-        bundle.kernel, bundle.init_sampler, cfg.lag, cfg.reps, stream, cfg.workers
-    )
+    return sample_meetings(bundle.kernel, bundle.init_sampler, lag, cfg.reps, stream, cfg.workers)
+
+
+def _run_meetings(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    samples = _meetings(cfg, cfg.lag)
     rows = [(i, s.tau, s.lag, s.cost_units) for i, s in enumerate(samples)]
     _emit(cfg, out_dir, "meetings", ("rep", "tau", "lag", "cost"), rows)
     taus = np.array([s.tau for s in samples])
@@ -123,11 +125,7 @@ def _run_meetings(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def _run_tvbound(cfg: ExperimentConfig, out_dir: Path) -> dict:
     lag = max(cfg.lag, 1)
-    bundle, _ = build_bundle(cfg)
-    stream = RngStream(cfg.seed)
-    samples = sample_meetings(
-        bundle.kernel, bundle.init_sampler, lag, cfg.reps, stream, cfg.workers
-    )
+    samples = _meetings(cfg, lag)
     taus = [s.tau for s in samples]
     t, bound = tv_curve(taus, lag, cfg.t_max)
     _emit(cfg, out_dir, "tvbound", ("t", "bound"), list(zip(t.tolist(), bound.tolist())))
@@ -142,11 +140,7 @@ def _run_tvbound(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def _run_tailfit(cfg: ExperimentConfig, out_dir: Path) -> dict:
     lag = max(cfg.lag, 1)
-    bundle, _ = build_bundle(cfg)
-    stream = RngStream(cfg.seed)
-    samples = sample_meetings(
-        bundle.kernel, bundle.init_sampler, lag, cfg.reps, stream, cfg.workers
-    )
+    samples = _meetings(cfg, lag)
     fit = tail_fit([s.tau for s in samples], lag, cfg.t_min)
     summary = {
         "command": "tailfit",
@@ -162,11 +156,7 @@ def _run_tailfit(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def _run_pilot(cfg: ExperimentConfig, out_dir: Path) -> dict:
     lag = max(cfg.lag, 1)
-    bundle, _ = build_bundle(cfg)
-    stream = RngStream(cfg.seed)
-    samples = sample_meetings(
-        bundle.kernel, bundle.init_sampler, lag, cfg.reps, stream, cfg.workers
-    )
+    samples = _meetings(cfg, lag)
     tuned = pilot_tuning([s.tau for s in samples], lag, cfg.quantile)
     summary = {
         "command": "pilot",
@@ -303,10 +293,12 @@ def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.model != "ar1":
         raise ConfigError("theory-check applies to the ar1 model")
     bundle, _ = build_bundle(cfg)
-    params = dict(cfg.model_params)
-    phi = float(params.get("phi", 0.99))
-    sigma = float(params.get("sigma", 1.0))
-    bound = Ar1TheoryBound(phi, sigma)
+    model = build_model(cfg)
+    phi, sigma = model.phi, model.sigma
+    try:
+        bound = Ar1TheoryBound(phi, sigma)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'model.phi' = {phi}: no geometric bound ({exc})") from exc
     x0, y0 = 2.0, -2.0
     stream = RngStream(cfg.seed)
 
@@ -374,9 +366,7 @@ _RUNNERS = {
 
 
 def _replicate_summary(estimates, cfg: ExperimentConfig) -> dict:
-    values = np.array(
-        [e.scalar if hasattr(e, "scalar") else float(e.value) for e in estimates], dtype=float
-    )
+    values = np.array([float(np.ravel(e.value)[0]) for e in estimates])
     ineff = inefficiency(estimates, rng=RngStream(cfg.seed, 2**19).generator())
     lo, hi = bootstrap_ci(values, rng=RngStream(cfg.seed, 2**19 + 1).generator())
     return {

@@ -107,9 +107,14 @@ class ExperimentConfig:
              "estimator.xi", "must be uniform, optimal or proportional-to-abs-weight"),
             (self.thin >= 1, "estimator.thin", "must be at least 1"),
             (self.t_steps >= 2, "estimator.t_steps", "must be at least 2"),
+            (self.burn_in is None or self.burn_in >= 0, "estimator.burn_in", "must be nonnegative"),
             (1 <= self.reps <= MAX_REPS, "reps", f"must lie in [1, {MAX_REPS}]"),
+            (isinstance(self.seed, int) and 0 <= self.seed < 2**64,
+             "seed", "must be an integer in [0, 2^64)"),
             (self.workers >= 1, "workers", "must be at least 1"),
+            (len(self.grid) >= 1, "grid", "must hold at least one point"),
             (self.t_max >= 0, "t_max", "must be nonnegative"),
+            (self.n_max >= 0, "n_max", "must be nonnegative"),
             (0.0 < self.quantile < 1.0, "quantile", "must lie in (0, 1)"),
             (self.output_format in ("csv", "json"), "output.format", "must be csv or json"),
         ]

@@ -11,11 +11,11 @@ bootstrap intervals back every reported table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, as_generator
 
 __all__ = [
     "TailFit",
@@ -23,8 +23,13 @@ __all__ = [
     "tv_curve",
     "tail_fit",
     "bootstrap_ci",
+    "bootstrap_resample",
     "percentile_interval",
 ]
+
+# Resample indices drawn per block: 256 KiB of int64 whatever the replicate
+# count, so memory stays bounded and a block's temporaries stay small.
+_BLOCK_INDICES = 2**15
 
 
 def tv_upper_bound(taus: Sequence[int], lag: int, t: int) -> float:
@@ -34,28 +39,27 @@ def tv_upper_bound(taus: Sequence[int], lag: int, t: int) -> float:
     meeting times; nonnegative and nonincreasing in t, and exactly zero once
     t >= max(tau) - lag.
     """
-    if lag < 1:
-        raise ValueError("lag must be at least 1")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    taus = np.asarray(list(taus))
-    if taus.size == 0:
-        raise ValueError("tv_upper_bound requires at least one meeting time")
-    counts = np.maximum(0, -((-(taus - lag - t)) // lag))
-    return float(counts.mean())
+    return float(_tv_bounds(taus, lag, np.array([t]))[0])
 
 
 def tv_curve(taus: Sequence[int], lag: int, t_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The bound evaluated on the grid t = 0..t_max."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    t = np.arange(t_max + 1)
+    return t, _tv_bounds(taus, lag, t)
+
+
+def _tv_bounds(taus: Sequence[int], lag: int, t: np.ndarray) -> np.ndarray:
+    if lag < 1:
+        raise ValueError("lag must be at least 1")
     taus = np.asarray(list(taus))
     if taus.size == 0:
-        raise ValueError("tv_curve requires at least one meeting time")
-    t = np.arange(t_max + 1)
+        raise ValueError("the TV bound requires at least one meeting time")
     gaps = taus[None, :] - lag - t[:, None]
-    counts = np.maximum(0, -((-gaps) // lag))
-    return t, counts.mean(axis=1)
+    return np.maximum(0, -((-gaps) // lag)).mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -134,16 +138,23 @@ def bootstrap_ci(
     values = np.asarray(list(values), dtype=float)
     if values.size < 2:
         raise ValueError("bootstrap_ci requires at least 2 values")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    if rng is None:
-        rng = RngStream(0).generator()
-    n = values.size
-    means = np.empty(n_resamples)
-    done = 0
-    while done < n_resamples:
-        block = min(2000, n_resamples - done)
-        idx = rng.integers(0, n, size=(block, n))
-        means[done : done + block] = values[idx].mean(axis=1)
-        done += block
+    means = bootstrap_resample(values.size, n_resamples, rng, lambda idx: values[idx].mean(axis=1))
     return percentile_interval(means, level)
+
+
+def bootstrap_resample(
+    n: int, n_resamples: int, rng: np.random.Generator | RngStream | None, statistic: Callable
+) -> np.ndarray:
+    """Rows of ``statistic(idx)`` over resamples with replacement of n replicates.
+
+    ``idx`` is a (b, n) block of resample indices and gives b rows.  The block
+    size does not change the indices: a (b1 + b2, n) block draws the same
+    integers as a b1 block followed by a b2 block.
+    """
+    rng = as_generator(rng)
+    block = max(1, _BLOCK_INDICES // n)
+    rows = []
+    for done in range(0, n_resamples, block):
+        idx = rng.integers(0, n, size=(min(block, n_resamples - done), n))
+        rows.append(statistic(idx))
+    return np.concatenate(rows)

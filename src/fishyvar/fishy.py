@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction, states_equal
-from .rng import RngStream
+from .rng import RngStream, as_generator
 from .simulate import DEFAULT_TRANSITION_BUDGET, TransitionBudgetError, map_replicates
 
 __all__ = [
@@ -61,26 +61,12 @@ def estimate_fishy(
 
     ``x == y`` short-circuits to a zero estimate with zero cost.
     """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
+    rng = as_generator(rng)
     if states_equal(x, y):
         return FishyEstimate(np.zeros(h.arity), y, x, 0, 0)
     coupled = kernel.coupled_step
-    if h.arity == 1:
-        hfn = h.eval_scalar
-        acc = hfn(x) - hfn(y)
-        cx, cy = x, y
-        tau = 0
-        while True:
-            cx, cy = coupled(cx, cy, rng)
-            tau += 1
-            if states_equal(cx, cy):
-                break
-            acc += hfn(cx) - hfn(cy)
-            if 2 * tau >= budget:
-                raise TransitionBudgetError(0, 2 * tau)
-        return FishyEstimate(np.array([float(acc)]), y, x, tau, 2 * tau)
-    acc = h.eval(x) - h.eval(y)
+    hfn = h.evaluator
+    acc = hfn(x) - hfn(y)
     cx, cy = x, y
     tau = 0
     while True:
@@ -88,10 +74,10 @@ def estimate_fishy(
         tau += 1
         if states_equal(cx, cy):
             break
-        acc = acc + h.eval(cx) - h.eval(cy)
+        acc += hfn(cx) - hfn(cy)
         if 2 * tau >= budget:
             raise TransitionBudgetError(0, 2 * tau)
-    return FishyEstimate(acc, y, x, tau, 2 * tau)
+    return FishyEstimate(np.array(acc, ndmin=1), y, x, tau, 2 * tau)
 
 
 def estimate_fishy_randomized(
@@ -106,8 +92,7 @@ def estimate_fishy_randomized(
 
     The estimand becomes g(x) minus the nu-average of g.
     """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
+    rng = as_generator(rng)
     y0 = nu_sampler(rng)
     return estimate_fishy(kernel, h, x, y0, rng, budget=budget)
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["RngStream", "as_generator"]
 
 # Children of a stream occupy the block [id * BRANCH + 1, id * BRANCH + BRANCH],
 # so sibling subtrees never collide; `child` rejects fan-outs beyond BRANCH.
 _BRANCH = 2**20
 
-_MASK64 = 2**64 - 1
+# Philox keys are two 64-bit words: master_seed in the high word, stream_id in the low.
+_WORD = 2**64
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,20 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.master_seed < _WORD:
+            raise ValueError(f"master_seed {self.master_seed} must lie in [0, 2**64)")
         if self.stream_id < 0:
             raise ValueError("stream_id must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        if self.stream_id > _MASK64:
+        if self.stream_id >= _WORD:
             raise ValueError(
                 f"stream_id {self.stream_id} does not fit the 64-bit Philox key word; "
                 "the stream tree is too deep"
             )
         # little-endian words of the 128-bit key (master_seed << 64) | stream_id
-        key = np.array([self.stream_id, self.master_seed & _MASK64], dtype=np.uint64)
+        key = np.array([self.stream_id, self.master_seed], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
@@ -64,3 +67,12 @@ class RngStream:
         if n > _BRANCH:
             raise ValueError(f"at most {_BRANCH} children, or sibling subtrees collide")
         return [self.child(i) for i in range(n)]
+
+
+def as_generator(rng: np.random.Generator | RngStream | None) -> np.random.Generator:
+    """The generator to draw from: ``rng`` itself, its stream's, or seed 0's."""
+    if rng is None:
+        return RngStream(0).generator()
+    if isinstance(rng, RngStream):
+        return rng.generator()
+    return rng

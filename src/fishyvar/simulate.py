@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .chains import CoupledKernel, State, states_equal
-from .rng import RngStream
+from .rng import RngStream, as_generator
 
 __all__ = [
     "CoupledRun",
@@ -120,12 +120,14 @@ def run_coupled(
 
     Streaming consumers can pass ``on_x`` / ``on_y`` visitors, called once per
     stored index in order, and set ``keep_paths=False`` to bound memory.
+    ``on_y(s, Y_s)`` always follows ``on_x(s + lag, X_{s+lag})``, so it sees the
+    pair (X_{s+lag}, Y_s); Y_0 is reported after the warm-up.
     """
     if lag < 0:
         raise ValueError("lag must be nonnegative")
     if horizon_min < 0:
         raise ValueError("horizon_min must be nonnegative")
-    rng = _as_generator(rng)
+    rng = as_generator(rng)
     step = kernel.base.step
     coupled = kernel.coupled_step
 
@@ -133,8 +135,6 @@ def run_coupled(
     y_path: list | None = [y0] if keep_paths else None
     if on_x is not None:
         on_x(0, x0)
-    if on_y is not None:
-        on_y(0, y0)
 
     cost = 0
     t = 0  # index of the X chain
@@ -147,6 +147,8 @@ def run_coupled(
             x_path.append(x)
         if on_x is not None:
             on_x(t, x)
+    if on_y is not None:
+        on_y(0, y0)
 
     y = y0
     if lag == 0 and states_equal(x0, y0):
@@ -241,11 +243,3 @@ def map_replicates(
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _as_generator(rng: np.random.Generator | RngStream | None) -> np.random.Generator:
-    if rng is None:
-        return RngStream(0).generator()
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng

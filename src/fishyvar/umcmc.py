@@ -14,13 +14,13 @@ giving max(L, ell + L - tau) + 2 (tau - L) units per estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction
-from .rng import RngStream
+from .rng import RngStream, as_generator
 from .simulate import (
     DEFAULT_TRANSITION_BUDGET,
     CoupledRun,
@@ -82,41 +82,46 @@ class UnbiasedEstimate:
         return float(self.value[0])
 
 
-def h_kl_estimator(run: CoupledRun, h: TestFunction, k: int, ell: int) -> UnbiasedEstimate:
-    """Time-averaged unbiased estimator of pi(h) from one lagged run.
-
-    Extends the run's single chain internally if its horizon falls short of
-    ``ell``.  When the meeting happens at or before k + lag the correction sum
-    is empty and the value is the plain ergodic average.
-    """
+def _measure_lists(run: CoupledRun, k: int, ell: int) -> tuple[list, list[float]]:
+    """Atoms and weights of a retained run's signed measure, in atom order."""
     lag = run.lag
     if lag < 1:
         raise ValueError("the time-averaged estimator requires lag >= 1")
     if k > ell:
         raise ValueError("k must not exceed ell")
     run.extend_to(ell)
-    x = run.x_path
-    tau = run.meeting_time
     w0 = 1.0 / (ell - k + 1)
+    atoms = run.x_path[k : ell + 1]
+    weights = [w0] * (ell - k + 1)
+    for t in range(k + lag, run.meeting_time):
+        v = vt_weight(t, k, ell, lag) * w0
+        atoms += (run.x_path[t], run.y_at(t - lag))
+        weights += (v, -v)
+    return atoms, weights
 
-    if h.arity == 1:
-        hfn = h.eval_scalar
-        total = 0.0
-        for t in range(k, ell + 1):
-            total += hfn(x[t])
-        total *= w0
-        for t in range(k + lag, tau):
-            total += vt_weight(t, k, ell, lag) * w0 * (hfn(x[t]) - hfn(run.y_at(t - lag)))
-        value = np.array([total])
-    else:
-        value = np.zeros(h.arity)
-        for t in range(k, ell + 1):
-            value += h.eval(x[t])
-        value *= w0
-        for t in range(k + lag, tau):
-            value += vt_weight(t, k, ell, lag) * w0 * (h.eval(x[t]) - h.eval(run.y_at(t - lag)))
 
-    return UnbiasedEstimate(value, estimator_cost(k, ell, lag, tau), k, ell, lag, tau)
+def _integral(atoms: Sequence, weights: Sequence[float], h: TestFunction) -> np.ndarray:
+    """Sum of weight * h(atom) over the atoms, in order, as a length-d vector."""
+    hfn = h.evaluator
+    total = 0.0
+    for z, w in zip(atoms, weights):
+        total += w * hfn(z)
+    return np.array(total, ndmin=1)
+
+
+def h_kl_estimator(run: CoupledRun, h: TestFunction, k: int, ell: int) -> UnbiasedEstimate:
+    """Time-averaged unbiased estimator of pi(h) from one lagged run.
+
+    The integral of h against the run's signed measure (see
+    :func:`signed_measure`), computed without building the measure.  Extends
+    the run's single chain internally if its horizon falls short of ``ell``.
+    When the meeting happens at or before k + lag the correction sum is empty
+    and the value is the plain ergodic average.
+    """
+    atoms, weights = _measure_lists(run, k, ell)
+    tau = run.meeting_time
+    cost = estimator_cost(k, ell, run.lag, tau)
+    return UnbiasedEstimate(_integral(atoms, weights, h), cost, k, ell, run.lag, tau)
 
 
 @dataclass(frozen=True)
@@ -142,31 +147,14 @@ class SignedMeasure:
 
     def integrate(self, h: TestFunction) -> np.ndarray:
         """Integral of h, equal to the time-averaged estimator's value."""
-        if h.arity == 1:
-            hfn = h.eval_scalar
-            total = 0.0
-            for z, w in zip(self.atoms, self.weights):
-                total += w * hfn(z)
-            return np.array([total])
-        out = np.zeros(h.arity)
-        for z, w in zip(self.atoms, self.weights):
-            out += w * h.eval(z)
-        return out
+        return _integral(self.atoms, self.weights.tolist(), h)
 
     def pruned(self) -> "SignedMeasure":
         """Copy without zero-weight atoms (subsampling requires nonzero weights)."""
         keep = np.nonzero(self.weights)[0]
         if len(keep) == len(self.atoms):
             return self
-        return SignedMeasure(
-            [self.atoms[i] for i in keep],
-            self.weights[keep],
-            self.k,
-            self.ell,
-            self.lag,
-            self.tau,
-            self.cost_units,
-        )
+        return replace(self, atoms=[self.atoms[i] for i in keep], weights=self.weights[keep])
 
 
 def signed_measure(run: CoupledRun, k: int, ell: int) -> SignedMeasure:
@@ -176,31 +164,10 @@ def signed_measure(run: CoupledRun, k: int, ell: int) -> SignedMeasure:
     correction time t the pair (X_t, +v_t w0), (Y_{t-lag}, -v_t w0).
     Integrating any h reproduces :func:`h_kl_estimator` exactly.
     """
-    lag = run.lag
-    if lag < 1:
-        raise ValueError("the signed measure requires lag >= 1")
-    if k > ell:
-        raise ValueError("k must not exceed ell")
-    run.extend_to(ell)
+    atoms, weights = _measure_lists(run, k, ell)
     tau = run.meeting_time
-    w0 = 1.0 / (ell - k + 1)
-    atoms: list = list(run.x_path[k : ell + 1])
-    weights: list[float] = [w0] * (ell - k + 1)
-    for t in range(k + lag, tau):
-        v = vt_weight(t, k, ell, lag) * w0
-        atoms.append(run.x_path[t])
-        weights.append(v)
-        atoms.append(run.y_at(t - lag))
-        weights.append(-v)
-    return SignedMeasure(
-        atoms,
-        np.array(weights),
-        k,
-        ell,
-        lag,
-        tau,
-        estimator_cost(k, ell, lag, tau),
-    )
+    cost = estimator_cost(k, ell, run.lag, tau)
+    return SignedMeasure(atoms, np.array(weights), k, ell, run.lag, tau, cost)
 
 
 def subsample_estimator(
@@ -218,8 +185,7 @@ def subsample_estimator(
     """
     if R < 1:
         raise ValueError("R must be at least 1")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
+    rng = as_generator(rng)
     n = pihat.n_atoms
     if xi is None:
         xi = np.full(n, 1.0 / n)
@@ -232,10 +198,8 @@ def subsample_estimator(
         if abs(xi.sum() - 1.0) > 1e-9:
             raise ValueError("selection probabilities must sum to 1 within 1e-9")
     indices = _categorical(xi, R, rng)
-    out = np.zeros(h.arity)
-    for i in indices:
-        out += (pihat.weights[i] / xi[i]) * h.eval(pihat.atoms[i])
-    return out / R
+    atoms = [pihat.atoms[i] for i in indices]
+    return _integral(atoms, (pihat.weights[indices] / xi[indices]).tolist(), h) / R
 
 
 def _categorical(xi: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -287,9 +251,7 @@ def reservoir_select(
     stream: Iterable, R: int, rng: np.random.Generator | RngStream
 ) -> np.ndarray:
     """R independent uniform index selections from a stream, single pass."""
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    reservoir = UniformReservoir(R, rng)
+    reservoir = UniformReservoir(R, as_generator(rng))
     for item in stream:
         reservoir.offer(item)
     if reservoir.count == 0:

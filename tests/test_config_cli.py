@@ -317,6 +317,41 @@ def test_reps_beyond_reserved_pilot_stream_exits_2(tmp_path):
     assert main(["suave", "--reps", str(MAX_REPS + 1), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_key_word_exits_2(tmp_path, monkeypatch, capsys, seed):
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "seed.yaml"
+    cfg_file.write_text(f"seed: {seed}\n")
+    args = ["meetings", "--reps", "2", "--out", str(out)]
+    assert main(args + ["--seed", str(seed)]) == 2
+    assert main(args + ["--config", str(cfg_file)]) == 2
+    monkeypatch.setenv("FISHYVAR_SEED", str(seed))
+    assert main(args) == 2
+    assert capsys.readouterr().err.count("'seed'") == 3
+    assert not out.exists()
+    monkeypatch.delenv("FISHYVAR_SEED")
+    assert load_config(None, {"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["theory-check", "--phi", "0.5", "--n-max", "-3"], "n_max"),
+        (["epave", "--burn-in", "-5"], "estimator.burn_in"),
+        (["fishy", "--config", "{empty_grid}"], "grid"),
+        (["theory-check", "--phi", "0.99"], "model.phi"),
+    ],
+)
+def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
+    empty_grid = tmp_path / "grid.yaml"
+    empty_grid.write_text("grid: []\n")
+    argv = [arg.format(empty_grid=empty_grid) for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--reps", "5", "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_pilot_and_tailfit_json(tmp_path):
     code = main(
         [

@@ -59,3 +59,15 @@ def test_negative_ids_rejected():
         RngStream(1, -1)
     with pytest.raises(ValueError):
         RngStream(1).child(-2)
+
+
+def test_master_seed_outside_the_key_word_raises_instead_of_aliasing():
+    top = 2**64 - 1
+    for seed in (0, top):
+        # valid seeds keep their streams: key words (stream_id, master_seed)
+        key = np.array([3, seed], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).random(4)
+        assert np.array_equal(RngStream(seed, 3).generator().random(4), expected)
+    for seed in (top + 1, -1):
+        with pytest.raises(ValueError, match="master_seed"):
+            RngStream(seed)

@@ -8,6 +8,7 @@ from scipy import stats
 
 from fishyvar.chains import Ar1Model, TestFunction
 from fishyvar.couplings import ar1_kernel, finite_kernel
+from fishyvar.fishy import estimate_fishy
 from fishyvar.oracle import solve_finite
 from fishyvar.rng import RngStream
 from fishyvar.simulate import CoupledRun, run_coupled
@@ -171,6 +172,39 @@ def test_unbiasedness_across_lags(np_rng):
         )
         mean, se = mc_mean_se([e.scalar for e in estimates])
         assert abs(mean - oracle.pi_h[0]) < 4 * se
+
+
+def test_estimator_is_the_signed_measure_integral_bit_for_bit():
+    # the runs of acceptance criterion 05
+    model = random_finite_chain(np.random.default_rng(987654))
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    k, ell, lag = 2, 14, 2
+    for seed in range(100):
+        run = run_coupled(kernel, 0, 1, lag, ell, RngStream(44, seed).generator())
+        integral = signed_measure(run, k, ell).integrate(h)
+        assert h_kl_estimator(run, h, k, ell).value[0] == integral[0]
+
+
+def test_arity_two_loops_match_the_scalar_loops(np_rng):
+    # h2 = (h, 2h) through every merged loop, on the same stream as scalar h
+    model = random_finite_chain(np_rng)
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    h2 = TestFunction(lambda s: (h.eval_scalar(s), 2.0 * h.eval_scalar(s)), 2, "h and 2h")
+    k, ell, lag = 3, 15, 2
+    for seed in range(20):
+        rngs = [RngStream(45, seed).generator() for _ in range(2)]
+        runs = [run_coupled(kernel, 0, 1, lag, ell, rng) for rng in rngs]
+        scalar, pair = (h_kl_estimator(r, f, k, ell).value for r, f in zip(runs, (h, h2)))
+        np.testing.assert_allclose(pair, [scalar[0], 2.0 * scalar[0]], rtol=0, atol=1e-12)
+        pihat = signed_measure(runs[0], k, ell)
+        scalar, pair = pihat.integrate(h), pihat.integrate(h2)
+        np.testing.assert_allclose(pair, [scalar[0], 2.0 * scalar[0]], rtol=0, atol=1e-12)
+        scalar, pair = (
+            estimate_fishy(kernel, f, 0, 2, RngStream(46, seed).generator()).value for f in (h, h2)
+        )
+        np.testing.assert_allclose(pair, [scalar[0], 2.0 * scalar[0]], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ seed reproduces output files byte for byte, regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -81,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TransitionBudgetError as exc:
-        print(f"error: aborted, partial outputs may be incomplete: {exc}", file=sys.stderr)
+        print(f"error: aborted: {exc}; no partial file was left in the output directory",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -385,17 +388,38 @@ def _emit(cfg: ExperimentConfig, out_dir: Path, name: str, header: tuple, rows: 
     if cfg.output_format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _write_json(out_dir / f"{name}.json", payload)
-        return
-    with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+    else:
+        _write_table(out_dir / f"{name}.csv", header, rows)
+
+
+def _write_table(path: Path, header: tuple, rows) -> None:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """Write ``path`` whole or not at all: a temp file beside it, then a rename.
+
+    If the body raises, the temp file is removed and an existing ``path``
+    keeps its old contents.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require_lag(cfg: ExperimentConfig) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,6 +98,7 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self) -> None:
+        self._check_types()
         checks = [
             (self.model in MODEL_NAMES, "model", f"must be one of {MODEL_NAMES}"),
             (self.k >= 0, "estimator.k", "must be nonnegative"),
@@ -109,8 +111,7 @@ class ExperimentConfig:
             (self.t_steps >= 2, "estimator.t_steps", "must be at least 2"),
             (self.burn_in is None or self.burn_in >= 0, "estimator.burn_in", "must be nonnegative"),
             (1 <= self.reps <= MAX_REPS, "reps", f"must lie in [1, {MAX_REPS}]"),
-            (isinstance(self.seed, int) and 0 <= self.seed < 2**64,
-             "seed", "must be an integer in [0, 2^64)"),
+            (0 <= self.seed < 2**64, "seed", "must be an integer in [0, 2^64)"),
             (self.workers >= 1, "workers", "must be at least 1"),
             (len(self.grid) >= 1, "grid", "must hold at least one point"),
             (self.t_max >= 0, "t_max", "must be nonnegative"),
@@ -135,6 +136,44 @@ class ExperimentConfig:
                 f"config key 'test_function' unknown name {self.test_function!r}; "
                 f"known: {sorted(TEST_FUNCTIONS)}"
             )
+
+    def _check_types(self) -> None:
+        # YAML and the environment hand over values of any type; catch them
+        # here, before a comparison raises a TypeError with no key in it
+        for fields, is_kind, kind in (
+            (_INTEGER_FIELDS, _is_integer, "an integer"),
+            (_REAL_FIELDS, _is_real, "a number"),
+        ):
+            for attr in fields:
+                value = getattr(self, attr)
+                if not (is_kind(value) or value is None and attr in _OPTIONAL_FIELDS):
+                    raise ConfigError(
+                        f"config key {_key_name(attr)!r} must be {kind}, got {value!r}"
+                    )
+        grid = self.grid
+        if not (isinstance(grid, (list, tuple, np.ndarray)) and all(map(_is_real, grid))):
+            raise ConfigError(f"config key 'grid' must be a list of numbers, got {grid!r}")
+
+
+_INTEGER_FIELDS = (
+    "k", "lag", "ell", "R", "thin", "t_steps", "burn_in", "reps", "seed", "workers", "t_max",
+    "n_max",
+)
+_REAL_FIELDS = ("y", "t_min", "quantile")
+_OPTIONAL_FIELDS = ("burn_in", "t_min")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _key_name(attr: str) -> str:
+    section, key = _CONFIG_KEYS[attr]
+    return section if key is None else f"{section}.{key}"
 
 
 _CONFIG_KEYS = {
@@ -186,8 +225,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             value = {k: v for k, v in value.items() if k != "name"}
         if value is not None:
             setattr(cfg, attr, value)
-    if "seed" not in raw and os.environ.get("FISHYVAR_SEED"):
-        cfg.seed = int(os.environ["FISHYVAR_SEED"])
+    env_seed = os.environ.get("FISHYVAR_SEED")
+    if "seed" not in raw and env_seed:
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                f"config key 'seed' from FISHYVAR_SEED must be an integer, got {env_seed!r}"
+            ) from None
     for attr, value in (overrides or {}).items():
         if value is None:
             continue

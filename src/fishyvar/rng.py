@@ -7,6 +7,22 @@ pair replays the exact same sequence, and distinct stream ids give streams that
 are independent by construction of the Philox keying.  Replicate fan-out
 therefore assigns one stream per replicate, which makes results independent of
 worker scheduling.
+
+Block serving.  A kernel transition draws one or two scalars, and numpy's
+per-call overhead is a large share of a cheap step.  The generator a stream
+builds therefore serves ``standard_normal()`` and ``random()`` from per-kind
+blocks of Python floats drawn in bulk from the same Philox stream.  Blocks
+start at 16 values and double up to 1024, so a short replicate draws little
+ahead.  A request for an integer number of values, at most 64, takes the
+next values of the same block, so the k-th normal (or uniform) of a stream
+is the same whether it is drawn alone or inside such an array:
+``rng.standard_normal(3)`` equals three ``rng.standard_normal()`` calls.
+Every other request (larger or tuple sizes, ``out=``, another dtype) and
+every other method, ``integers`` included, passes straight to numpy and
+draws from the stream past the values already buffered.  Each Philox output
+is still used once, so the distributions are numpy's; the interleaving of
+normals and uniforms in the stream differs from unbuffered draws.  A
+generator passed in by a caller is used as is.
 """
 
 from __future__ import annotations
@@ -23,6 +39,75 @@ _BRANCH = 2**20
 
 # Philox keys are two 64-bit words: master_seed in the high word, stream_id in the low.
 _WORD = 2**64
+
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 1024
+_MAX_SERVED = 64  # largest array request served from a block
+_F64 = np.float64
+_Generator = np.random.Generator
+_NORMAL, _UNIFORM = 0, 1
+_BULK_DRAWS = (_Generator.standard_normal, _Generator.random)
+
+
+class _BlockGenerator(_Generator):
+    """Philox generator serving scalar and small-array float draws from blocks.
+
+    ``_normals`` and ``_uniforms`` hold the buffered values in reverse stream
+    order, so ``pop()`` serves the next one.
+    """
+
+    __slots__ = ("_normals", "_uniforms", "_block_sizes")
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        super().__init__(bit_generator)
+        self._normals: list[float] = []
+        self._uniforms: list[float] = []
+        self._block_sizes = [_FIRST_BLOCK, _FIRST_BLOCK]
+
+    def standard_normal(self, size=None, dtype=_F64, out=None):
+        if dtype is _F64 and out is None:
+            if size is None:
+                try:
+                    return self._normals.pop()
+                except IndexError:
+                    return self._refill(self._normals, _NORMAL).pop()
+            if type(size) is int and 0 < size <= _MAX_SERVED:
+                return self._take(self._normals, _NORMAL, size)
+        return _Generator.standard_normal(self, size, dtype, out)
+
+    def random(self, size=None, dtype=_F64, out=None):
+        if dtype is _F64 and out is None:
+            if size is None:
+                try:
+                    return self._uniforms.pop()
+                except IndexError:
+                    return self._refill(self._uniforms, _UNIFORM).pop()
+            if type(size) is int and 0 < size <= _MAX_SERVED:
+                return self._take(self._uniforms, _UNIFORM, size)
+        return _Generator.random(self, size, dtype, out)
+
+    def _refill(self, buf: list, kind: int) -> list:
+        size = self._block_sizes[kind]
+        self._block_sizes[kind] = min(2 * size, _MAX_BLOCK)
+        buf.extend(_BULK_DRAWS[kind](self, size).tolist()[::-1])
+        return buf
+
+    def _take(self, buf: list, kind: int, n: int) -> np.ndarray:
+        values = buf[: -n - 1 : -1]  # up to n values, in stream order
+        del buf[-n:]
+        while len(values) < n:
+            self._refill(buf, kind)
+            k = n - len(values)
+            values += buf[: -k - 1 : -1]
+            del buf[-k:]
+        return np.array(values)
+
+    def __reduce__(self):
+        # numpy's own reduce would rebuild a plain Generator and drop the blocks
+        return type(self), (self.bit_generator,), (self._normals, self._uniforms, self._block_sizes)
+
+    def __setstate__(self, state) -> None:
+        self._normals, self._uniforms, self._block_sizes = state
 
 
 @dataclass(frozen=True)
@@ -44,7 +129,7 @@ class RngStream:
             raise ValueError("stream_id must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
+        """Fresh block-serving generator positioned at the start of this stream."""
         if self.stream_id >= _WORD:
             raise ValueError(
                 f"stream_id {self.stream_id} does not fit the 64-bit Philox key word; "
@@ -52,7 +137,7 @@ class RngStream:
             )
         # little-endian words of the 128-bit key (master_seed << 64) | stream_id
         key = np.array([self.stream_id, self.master_seed], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return _BlockGenerator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Derived stream for sub-task ``index`` (e.g. one replicate)."""

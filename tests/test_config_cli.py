@@ -352,6 +352,50 @@ def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "yaml_text, env_seed, key",
+    [
+        ("", "abc", "seed"),
+        ("reps: abc\n", None, "reps"),
+        ("grid: 3\n", None, "grid"),
+    ],
+)
+def test_mistyped_values_exit_2_naming_the_key(
+    tmp_path, monkeypatch, capsys, yaml_text, env_seed, key
+):
+    cfg_file = tmp_path / "typed.yaml"
+    cfg_file.write_text(yaml_text)
+    if env_seed is not None:
+        monkeypatch.setenv("FISHYVAR_SEED", env_seed)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(cfg_file)
+    out = tmp_path / "out"
+    assert main(["fishy", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_artifact_writers_leave_no_partial_file(tmp_path):
+    from fishyvar import cli
+
+    table = tmp_path / "meetings.csv"
+    cli._write_table(table, ("rep", "tau"), [(0, 3)])
+    before = table.read_text()
+
+    def rows():
+        yield (1, 4)
+        raise RuntimeError("writer failed mid-table")
+
+    with pytest.raises(RuntimeError):
+        cli._write_table(table, ("rep", "tau"), rows())
+    assert table.read_text() == before
+    summary = tmp_path / "summary.json"
+    with pytest.raises(TypeError):
+        cli._write_json(summary, {"estimate": 1.0, "z_unserialisable": object()})
+    assert not summary.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["meetings.csv"]
+
+
 def test_pilot_and_tailfit_json(tmp_path):
     code = main(
         [

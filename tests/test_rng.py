@@ -1,7 +1,18 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from fishyvar.chains import Ar1Model
+from fishyvar.couplings import ar1_kernel
 from fishyvar.rng import RngStream
+from fishyvar.simulate import run_coupled
+
+
+def _philox(key0: int, key1: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([key0, key1], dtype=np.uint64)))
 
 
 def test_same_key_replays_identical_sequence():
@@ -71,3 +82,107 @@ def test_master_seed_outside_the_key_word_raises_instead_of_aliasing():
     for seed in (top + 1, -1):
         with pytest.raises(ValueError, match="master_seed"):
             RngStream(seed)
+
+
+# ---------------------------------------------------------------------------
+# Block-served draws
+# ---------------------------------------------------------------------------
+
+# (kind, size) requests; None draws a scalar.  Per kind they ask for far more
+# values than the first four blocks (16 + 32 + 64 + 128) hold.
+_PLAN = [
+    ("n", 5), ("u", None), ("n", None), ("u", 64), ("n", 64), ("n", 1), ("u", 3),
+    ("n", 17), ("u", None), ("u", 40), ("n", None), ("n", 33), ("u", 64), ("n", 2),
+] * 6
+
+
+def _draw(rng, plan, split_arrays):
+    out = {"n": [], "u": []}
+    for kind, size in plan:
+        draw = rng.standard_normal if kind == "n" else rng.random
+        if size is None or split_arrays:
+            out[kind] += [draw() for _ in range(size or 1)]
+        else:
+            values = draw(size)
+            assert values.shape == (size,) and values.dtype == np.float64
+            out[kind] += values.tolist()
+    return out
+
+
+def test_small_array_draws_equal_the_scalar_sequence():
+    counts = {kind: sum(size or 1 for k, size in _PLAN if k == kind) for kind in "nu"}
+    assert min(counts.values()) > 16 + 32 + 64 + 128
+    mixed = _draw(RngStream(21, 4).generator(), _PLAN, split_arrays=False)
+    scalar = _draw(RngStream(21, 4).generator(), _PLAN, split_arrays=True)
+    assert mixed == scalar
+    for kind, draw in (("n", "standard_normal"), ("u", "random")):
+        # a stream drawing one kind only serves numpy's own sequence
+        only = [(k, size) for k, size in _PLAN if k == kind]
+        served = _draw(RngStream(21, 5).generator(), only, split_arrays=False)[kind]
+        plain = getattr(_philox(5, 21), draw)(counts[kind])
+        assert served == plain.tolist()
+
+
+def test_block_served_draws_keep_their_distributions():
+    rng = RngStream(22).generator()
+    normals, uniforms = [], []
+    for _ in range(10**5):
+        # interleaved, so both kinds refill their blocks in turn
+        normals.append(rng.standard_normal())
+        uniforms.append(rng.random())
+    assert stats.kstest(normals, "norm").pvalue > 1e-3
+    assert stats.kstest(uniforms, "uniform").pvalue > 1e-3
+    assert len(set(normals)) == len(normals) and len(set(uniforms)) == len(uniforms)
+
+
+def test_ar1_meeting_times_match_unbuffered_generators():
+    kernel = ar1_kernel(Ar1Model(0.9))
+
+    def taus(generators):
+        return [
+            run_coupled(kernel, 4.0 * rng.standard_normal(), 4.0 * rng.standard_normal(), 1, 0,
+                        rng, keep_paths=False).meeting_time
+            for rng in generators
+        ]
+
+    n = 3000
+    plain = taus(_philox(i, 23) for i in range(n))
+    served = taus(RngStream(24).child(i).generator() for i in range(n))
+    assert stats.ks_2samp(plain, served).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: rng.standard_normal(65),
+        lambda rng: rng.random(65),
+        lambda rng: rng.random((2, 3)),
+        lambda rng: rng.standard_normal(4, dtype=np.float32),
+        lambda rng: rng.random(dtype=np.float32),
+        lambda rng: rng.standard_normal(out=np.empty(5)),
+        lambda rng: rng.random(3, out=np.empty(3)),
+        lambda rng: rng.integers(7, size=5),
+        lambda rng: rng.integers(7),
+        lambda rng: rng.random(0),
+    ],
+)
+def test_other_requests_pass_through_to_numpy(call):
+    # on a fresh stream nothing is buffered yet, so numpy's own values come back
+    served, plain = call(RngStream(25, 2).generator()), call(_philox(2, 25))
+    assert type(served) is type(plain)
+    assert np.shape(served) == np.shape(plain)
+    assert np.asarray(served).dtype == np.asarray(plain).dtype
+    np.testing.assert_array_equal(served, plain)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+def test_copies_continue_with_the_same_draws(clone):
+    rng = RngStream(26).generator()
+    rng.standard_normal(), rng.random(5)  # part-used blocks of both kinds
+    twin = clone(rng)
+    assert type(twin) is type(rng)
+
+    def rest(g):
+        return [g.random() for _ in range(50)] + g.standard_normal(70).tolist() + [g.integers(9)]
+
+    assert rest(twin) == rest(rng)

@@ -177,6 +177,17 @@ class CauchyNormalModel:
         return out
 
 
+def _neg2_log(u: float) -> float:
+    """-2 log U, the Exponential(rate 1/2) draw by inverse CDF; U = 0 gives +inf, as np.log."""
+    return -2.0 * math.log(u) if u > 0.0 else math.inf
+
+
+def _conditional(model: CauchyNormalModel, s: float, sz: float) -> tuple[float, float]:
+    """Mean and variance of theta given sum(eta) = ``s`` and sum(eta * z) = ``sz``."""
+    denom = s + 1.0 / model.prior_variance
+    return sz / denom, 1.0 / denom
+
+
 def sample_eta(model: CauchyNormalModel, theta: float, rng: np.random.Generator) -> np.ndarray:
     """Auxiliary Exponential draws of the Gibbs sweep, by inverse CDF.
 
@@ -184,22 +195,27 @@ def sample_eta(model: CauchyNormalModel, theta: float, rng: np.random.Generator)
     -2 log(U_i) / (1 + (theta - z_i)^2).  Inverse-CDF sampling is what makes
     a common-uniform coupling of the eta draws exact.
     """
-    z = np.asarray(model.observations)
-    u = rng.random(z.shape[0])
-    return -2.0 * np.log(u) / (1.0 + (theta - z) ** 2)
+    z = model.observations
+    return np.array([_neg2_log(rng.random()) / (1.0 + (theta - zi) ** 2) for zi in z])
 
 
-def gibbs_conditional(model: CauchyNormalModel, eta: np.ndarray) -> tuple[float, float]:
+def gibbs_conditional(model: CauchyNormalModel, eta: Sequence[float]) -> tuple[float, float]:
     """Mean and variance of theta given the auxiliary variables."""
-    z = np.asarray(model.observations)
-    denom = float(np.sum(eta)) + 1.0 / model.prior_variance
-    return float(np.dot(eta, z)) / denom, 1.0 / denom
+    s = sz = 0.0
+    for z, e in zip(model.observations, map(float, eta)):
+        s += e
+        sz += e * z
+    return _conditional(model, s, sz)
 
 
 def gibbs_step(model: CauchyNormalModel, theta: float, rng: np.random.Generator) -> float:
     """One auxiliary-variable Gibbs sweep: eta update then theta update."""
-    eta = sample_eta(model, theta, rng)
-    mean, var = gibbs_conditional(model, eta)
+    s = sz = 0.0
+    for z in model.observations:
+        eta = _neg2_log(rng.random()) / (1.0 + (theta - z) ** 2)
+        s += eta
+        sz += eta * z
+    mean, var = _conditional(model, s, sz)
     return mean + math.sqrt(var) * rng.standard_normal()
 
 
@@ -224,18 +240,20 @@ def mrth_step(
         raise ValueError("proposal_sd must be positive")
     proposal = x + proposal_sd * rng.standard_normal()
     u = rng.random()
-    delta = logdensity(proposal) - logdensity(x)
+    log_u = math.log(u) if u > 0.0 else -math.inf
+    return proposal if _accepts(log_u, logdensity(proposal) - logdensity(x)) else x
+
+
+def _accepts(log_u: float, delta: float) -> bool:
+    """MRTH accept test for log-ratio ``delta``; a NaN ratio rejects with a warning."""
     if math.isnan(delta):
         warnings.warn(
             "log-density returned NaN at proposed point; move rejected",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return x
-    log_u = math.log(u) if u > 0.0 else -math.inf
-    if log_u <= delta:
-        return proposal
-    return x
+        return False
+    return log_u <= delta
 
 
 # ---------------------------------------------------------------------------

@@ -47,19 +47,6 @@ from .umcmc import pilot_tuning, sample_unbiased
 
 __all__ = ["main", "run_experiment"]
 
-COMMANDS = (
-    "meetings",
-    "tvbound",
-    "tailfit",
-    "pilot",
-    "fishy",
-    "umcmc",
-    "epave",
-    "suave",
-    "theory-check",
-    "oracle",
-)
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -69,10 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in vars(args).items()
         if key not in ("config", "command") and value is not None
     }
-    model_params = {}
-    for key in ("phi", "sigma", "prior_variance", "mrth_proposal_sd", "transition_csv"):
-        if key in overrides:
-            model_params[key] = overrides.pop(key)
+    model_keys = ("phi", "sigma", "prior_variance", "mrth_proposal_sd", "transition_csv")
+    model_params = {key: overrides.pop(key) for key in model_keys if key in overrides}
     if model_params:
         overrides["model_params"] = model_params
     try:
@@ -93,7 +78,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured subcommand; write artifacts; return the summary."""
     runner = _RUNNERS.get(cfg.command)
     if runner is None:
-        raise ConfigError(f"unknown command {cfg.command!r}; valid: {COMMANDS}")
+        raise ConfigError(f"unknown command {cfg.command!r}; valid: {tuple(_RUNNERS)}")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = runner(cfg, out_dir)

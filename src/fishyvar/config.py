@@ -143,6 +143,8 @@ class ExperimentConfig:
         for fields, is_kind, kind in (
             (_INTEGER_FIELDS, _is_integer, "an integer"),
             (_REAL_FIELDS, _is_real, "a number"),
+            (_STRING_FIELDS, lambda v: isinstance(v, str), "a string"),
+            (("model_params",), lambda v: isinstance(v, dict), "a mapping"),
         ):
             for attr in fields:
                 value = getattr(self, attr)
@@ -160,6 +162,7 @@ _INTEGER_FIELDS = (
     "n_max",
 )
 _REAL_FIELDS = ("y", "t_min", "quantile")
+_STRING_FIELDS = ("model", "test_function", "xi", "output_format", "output_dir")
 _OPTIONAL_FIELDS = ("burn_in", "t_min")
 
 
@@ -313,8 +316,8 @@ def build_model(cfg: ExperimentConfig):
 def build_bundle(cfg: ExperimentConfig) -> tuple[ModelBundle, TestFunction]:
     """Materialize the coupled kernel, initial distribution and test function."""
     model = build_model(cfg)
-    spec = CouplingSpec(cfg.coupling_kind) if cfg.coupling_kind else None
     try:
+        spec = CouplingSpec(cfg.coupling_kind) if cfg.coupling_kind else None
         if cfg.model == "ar1":
             kernel = ar1_kernel(model, spec)
             bundle = ModelBundle(kernel, lambda rng: 4.0 * rng.standard_normal(), "ar1")

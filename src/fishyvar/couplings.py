@@ -14,7 +14,6 @@ All acceptance ratios are computed in log space; ties resolve as accept.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,9 +25,11 @@ from .chains import (
     CoupledKernel,
     FiniteChainModel,
     MarkovKernel,
+    _accepts,
+    _conditional,
+    _neg2_log,
     ar1_step,
     finite_step,
-    gibbs_conditional,
     gibbs_step,
     mrth_step,
 )
@@ -206,17 +207,6 @@ def coupled_mrth_step(
     return x_next, y_next, proposals_met
 
 
-def _accepts(log_u: float, delta: float) -> bool:
-    if math.isnan(delta):
-        warnings.warn(
-            "log-density returned NaN at proposed point; move rejected",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
-    return log_u <= delta
-
-
 def coupled_gibbs_step(
     model: CauchyNormalModel,
     theta: float,
@@ -230,29 +220,32 @@ def coupled_gibbs_step(
     the location updates are joined by a maximal coupling of the two
     conditional Normals.
     """
-    z = np.asarray(model.observations)
-    u = rng.random(z.shape[0])
-    log_u = np.log(u)
-    eta = -2.0 * log_u / (1.0 + (theta - z) ** 2)
-    eta_tilde = -2.0 * log_u / (1.0 + (theta_tilde - z) ** 2)
-    m1, v1 = gibbs_conditional(model, eta)
-    m2, v2 = gibbs_conditional(model, eta_tilde)
-    if m1 == m2 and v1 == v2:
+    s1 = sz1 = s2 = sz2 = 0.0
+    for z in model.observations:
+        g = _neg2_log(rng.random())
+        eta = g / (1.0 + (theta - z) ** 2)
+        s1 += eta
+        sz1 += eta * z
+        eta = g / (1.0 + (theta_tilde - z) ** 2)
+        s2 += eta
+        sz2 += eta * z
+    m1, v1 = _conditional(model, s1, sz1)
+    m2, v2 = _conditional(model, s2, sz2)
+    # a zero uniform leaves both conditionals degenerate (variance 0, mean nan)
+    if (m1 == m2 and v1 == v2) or v1 == 0.0:
         draw = m1 + math.sqrt(v1) * rng.standard_normal()
         return draw, draw
+    sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+    c1, c2 = 0.5 * math.log(v1), 0.5 * math.log(v2)
     x, y, _ = maximal_coupling(
-        lambda t: _normal_logpdf(t, m1, v1),
-        lambda r: m1 + math.sqrt(v1) * r.standard_normal(),
-        lambda t: _normal_logpdf(t, m2, v2),
-        lambda r: m2 + math.sqrt(v2) * r.standard_normal(),
+        lambda t: -0.5 * (t - m1) ** 2 / v1 - c1,
+        lambda r: m1 + sd1 * r.standard_normal(),
+        lambda t: -0.5 * (t - m2) ** 2 / v2 - c2,
+        lambda r: m2 + sd2 * r.standard_normal(),
         rng,
         max_rejections=max_rejections,
     )
     return x, y
-
-
-def _normal_logpdf(t: float, mean: float, var: float) -> float:
-    return -0.5 * (t - mean) ** 2 / var - 0.5 * math.log(var)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,30 @@ def test_eta_draws_match_exponential_rates():
         assert stats.kstest(draws[:, i], "expon", args=(0, 1.0 / rate)).pvalue > 1e-3
 
 
+def _reference_gibbs_step(model: CauchyNormalModel, theta: float, rng) -> float:
+    """The array formula of the sweep: one uniform per observation in order, then one normal."""
+    z = np.asarray(model.observations)
+    u = np.array([rng.random() for _ in z])
+    eta = -2.0 * np.log(u) / (1.0 + (theta - z) ** 2)
+    denom = np.sum(eta) + 1.0 / model.prior_variance
+    return float(np.dot(eta, z) / denom + math.sqrt(1.0 / denom) * rng.standard_normal())
+
+
+def test_gibbs_step_draw_sequence_matches_array_reference():
+    model = CauchyNormalModel()
+    rng, rng_ref = RngStream(21).generator(), RngStream(21).generator()
+    n = 10**4
+    got, want = np.empty(n), np.empty(n)
+    theta = 0.0
+    for i in range(n):
+        want[i] = _reference_gibbs_step(model, theta, rng_ref)
+        theta = got[i] = gibbs_step(model, theta, rng)
+    # the scalar sweep sums in another order and uses math.log, so the last bits
+    # may differ; a moved draw would shift values by the posterior's own scale.
+    # The absolute floor covers draws that cancel to near 0.
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def _posterior_mean_quadrature(model: CauchyNormalModel) -> float:
     def unnorm(t):
         return math.exp(model.log_density(t))

@@ -340,6 +340,7 @@ def test_seed_outside_the_key_word_exits_2(tmp_path, monkeypatch, capsys, seed):
         (["epave", "--burn-in", "-5"], "estimator.burn_in"),
         (["fishy", "--config", "{empty_grid}"], "grid"),
         (["theory-check", "--phi", "0.99"], "model.phi"),
+        (["meetings", "--coupling", "bogus"], "coupling"),
     ],
 )
 def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
@@ -358,6 +359,8 @@ def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
         ("", "abc", "seed"),
         ("reps: abc\n", None, "reps"),
         ("grid: 3\n", None, "grid"),
+        ("model: 3\n", None, "model"),
+        ("test_function: [1]\n", None, "test_function"),
     ],
 )
 def test_mistyped_values_exit_2_naming_the_key(

@@ -279,6 +279,34 @@ def test_coupled_gibbs_marginal_matches_single_step():
     assert stats.ks_2samp(coupled, single).pvalue > 1e-3
 
 
+def test_coupled_gibbs_from_equal_states_is_one_gibbs_step():
+    model = CauchyNormalModel()
+    rng, rng_single = RngStream(16).generator(), RngStream(16).generator()
+    theta = 0.0
+    for _ in range(2000):
+        a, b = coupled_gibbs_step(model, theta, theta, rng)
+        assert a == b == gibbs_step(model, theta, rng_single)
+        theta = a
+
+
+class _ZeroUniforms:
+    """Generator stub whose every uniform is 0.0."""
+
+    def random(self):
+        return 0.0
+
+    def standard_normal(self):
+        return 0.5
+
+
+def test_gibbs_steps_do_not_raise_on_zero_uniforms():
+    # -2 log 0 = +inf makes eta infinite, so the conditional mean is inf / inf
+    model = CauchyNormalModel()
+    assert math.isnan(gibbs_step(model, 1.0, _ZeroUniforms()))
+    x, y = coupled_gibbs_step(model, 1.0, 3.0, _ZeroUniforms())
+    assert math.isnan(x) and math.isnan(y)
+
+
 # ---------------------------------------------------------------------------
 # Assembled kernels: faithfulness across the built-ins
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ largest magnitude in its CSV column or JSON field, so summation-order changes
 pass while a moved random draw, which shifts values by the column's own
 scale, fails.
 
-Regenerate the fixtures, after a change that moves draws on purpose, with::
+Regenerate fixtures, after a change that moves draws on purpose, with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+Only the named cases are rewritten, so a case whose draws did not move keeps
+its fixture bytes; with no names, every case is rewritten.
 """
 
 from __future__ import annotations
@@ -157,17 +160,20 @@ def test_cli_artifacts_match_golden(name, tmp_path, capsys):
             compare_json(expected, actual, file_name)
 
 
-def write_fixtures() -> None:
-    """Rewrite every case's fixtures from the current code."""
+def write_fixtures(names: list[str]) -> None:
+    """Rewrite the named cases' fixtures (every case if none is named) from the current code."""
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases {unknown}; known: {sorted(CASES)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in sorted(names or CASES):
             target = GOLDEN_DIR / name
             shutil.rmtree(target, ignore_errors=True)
             run_case(name, Path(tmp), target)
 
 
 if __name__ == "__main__":
-    write_fixtures()
+    write_fixtures(sys.argv[1:])
     sys.exit(0)

@@ -68,6 +68,17 @@ CASES = {
         "--seed", "18",
     ],
     "oracle": ["oracle", *FINITE],
+    "theory_check_ar1": [
+        "theory-check", "--model", "ar1", "--phi", "0.5", "--n-max", "20", "--reps", "200",
+        "--seed", "20",
+    ],
+    "meetings_cauchy_mrth": [
+        "meetings", "--model", "cauchy-mrth", "--lag", "1", "--reps", "100", "--seed", "21",
+    ],
+    "umcmc_finite_crn": [
+        "umcmc", *FINITE, "--coupling", "common-random-numbers", "--k", "3", "--L", "2",
+        "--ell", "15", "--reps", "100", "--seed", "22",
+    ],
 }
 
 

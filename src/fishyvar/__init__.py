@@ -45,7 +45,6 @@ from .couplings import (
     coupled_gibbs_step,
     coupled_mrth_step,
     finite_kernel,
-    make_coupled_kernel,
     maximal_coupling,
     reflection_maximal_1d,
     reflection_maximal_nd,

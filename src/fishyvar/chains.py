@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -286,11 +285,12 @@ class FiniteChainModel:
             h = h[:, None]
         if h.shape[0] != p.shape[0]:
             raise ValueError("h_values must have one row per state")
-        graph = nx.DiGraph((int(i), int(j)) for i, j in zip(*np.nonzero(p)))
-        graph.add_nodes_from(range(p.shape[0]))
-        if not nx.is_strongly_connected(graph):
+        n = p.shape[0]
+        support = (p > 0.0).astype(float)
+        if not _power_is_positive(np.maximum(np.eye(n), support), n - 1):
             raise ValueError("chain is not irreducible")
-        if not nx.is_aperiodic(graph):
+        # Wielandt: an irreducible chain is aperiodic iff A^((n-1)^2+1) > 0
+        if not _power_is_positive(support, (n - 1) ** 2 + 1):
             raise ValueError("chain is not aperiodic")
         object.__setattr__(self, "transition_matrix", p)
         object.__setattr__(self, "h_values", h)
@@ -311,6 +311,20 @@ class FiniteChainModel:
             col = h[:, 0]
             return TestFunction(lambda s: col[s], arity=1, label="finite-table")
         return TestFunction(lambda s: h[s], arity=h.shape[1], label="finite-table")
+
+
+def _power_is_positive(a: np.ndarray, k: int) -> bool:
+    """Whether the 0/1 matrix power ``a^k`` is positive everywhere, by repeated squaring.
+
+    Entries are clipped to 1 after every product, so float arithmetic stays exact.
+    """
+    out = np.eye(a.shape[0])
+    while k:
+        if k & 1:
+            out = np.minimum(out @ a, 1)
+        a = np.minimum(a @ a, 1)
+        k >>= 1
+    return bool(out.all())
 
 
 def finite_step(model: FiniteChainModel, s: int, rng: np.random.Generator) -> int:

@@ -22,15 +22,16 @@ import numpy as np
 
 from . import __version__
 from .avar import epave, inefficiency, sample_suave
-from .chains import FiniteChainModel
 from .config import (
     MAX_REPS,
     MODEL_NAMES,
+    MODELS,
     TEST_FUNCTIONS,
     ConfigError,
     ExperimentConfig,
     build_bundle,
     build_model,
+    bundle_for,
     load_config,
 )
 from .diagnostics import bootstrap_ci, tail_fit, tv_curve
@@ -159,11 +160,12 @@ def _run_pilot(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _run_fishy(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    bundle, h = build_bundle(cfg)
+    model = build_model(cfg)
+    bundle, h = bundle_for(cfg, model)
     if h.arity != 1:
         raise ConfigError("the fishy profile expects a scalar test function")
     stream = RngStream(cfg.seed)
-    grid, anchor = _state_grid(cfg), _state_value(cfg, cfg.y)
+    grid, anchor = _state_grid(cfg, model), _state_value(cfg, cfg.y)
     profile = fishy_profile(bundle.kernel, h, grid, anchor, cfg.reps, stream, cfg.workers)
     rows = list(
         zip(
@@ -235,14 +237,15 @@ def _run_epave(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    bundle, h = build_bundle(cfg)
+    model = build_model(cfg)
+    bundle, h = bundle_for(cfg, model)
     _require_lag(cfg)
     stream = RngStream(cfg.seed)
     anchor = _state_value(cfg, cfg.y)
     table = None
     if cfg.xi == "optimal":
         table = fishy_profile(
-            bundle.kernel, h, _state_grid(cfg), anchor, max(cfg.reps // 10, 100),
+            bundle.kernel, h, _state_grid(cfg, model), anchor, max(cfg.reps // 10, 100),
             stream.child(MAX_REPS),
         )
     estimates = sample_suave(
@@ -280,8 +283,8 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.model != "ar1":
         raise ConfigError("theory-check applies to the ar1 model")
-    bundle, _ = build_bundle(cfg)
     model = build_model(cfg)
+    bundle, _ = bundle_for(cfg, model)
     phi, sigma = model.phi, model.sigma
     try:
         bound = Ar1TheoryBound(phi, sigma)
@@ -320,7 +323,6 @@ def _run_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.model != "finite":
         raise ConfigError("the oracle solve applies to finite-chain models")
     model = build_model(cfg)
-    assert isinstance(model, FiniteChainModel)
     solution = solve_finite(model)
     summary = {
         "command": "oracle",
@@ -414,14 +416,11 @@ def _require_lag(cfg: ExperimentConfig) -> None:
 
 def _state_value(cfg: ExperimentConfig, value: float):
     # finite chains index states by integers; continuous models use floats
-    return int(value) if cfg.model == "finite" else float(value)
+    return MODELS[cfg.model].state(value)
 
 
-def _state_grid(cfg: ExperimentConfig) -> list:
-    if cfg.model == "finite":
-        model = build_model(cfg)
-        return list(range(model.n_states))
-    return list(cfg.grid)
+def _state_grid(cfg: ExperimentConfig, model) -> list:
+    return list(range(model.n_states)) if MODELS[cfg.model].state is int else list(cfg.grid)
 
 
 # ---------------------------------------------------------------------------

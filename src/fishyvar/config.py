@@ -14,6 +14,7 @@ import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -21,6 +22,7 @@ import yaml
 from .chains import (
     Ar1Model,
     CauchyNormalModel,
+    CoupledKernel,
     FiniteChainModel,
     ModelBundle,
     TestFunction,
@@ -41,12 +43,12 @@ __all__ = [
     "build_model",
     "build_bundle",
     "resolve_test_function",
+    "bundle_for",
     "finite_chain_from_csv",
+    "MODELS",
     "MODEL_NAMES",
     "TEST_FUNCTIONS",
 ]
-
-MODEL_NAMES = ("ar1", "cauchy-gibbs", "cauchy-mrth", "finite")
 
 TEST_FUNCTIONS: dict[str, TestFunction] = {
     "identity": TestFunction(lambda x: float(x), 1, "identity"),
@@ -131,7 +133,8 @@ class ExperimentConfig:
             if isinstance(self.reference_avar, bool) or not (math.isfinite(ref) and ref > 0):
                 raise ConfigError("config key 'reference_avar' must be a positive finite number")
             self.reference_avar = ref
-        if self.test_function not in TEST_FUNCTIONS and self.model != "finite":
+        # models whose states are indices carry their own test-function table
+        if self.test_function not in TEST_FUNCTIONS and MODELS[self.model].state is not int:
             raise ConfigError(
                 f"config key 'test_function' unknown name {self.test_function!r}; "
                 f"known: {sorted(TEST_FUNCTIONS)}"
@@ -256,12 +259,8 @@ def _dig(raw: dict, section: str, key: str | None):
     return None
 
 
-def finite_chain_from_csv(path: str | Path, h_values) -> FiniteChainModel:
-    """Load a finite chain from a CSV transition matrix.
-
-    Expected layout: header row ``to_0,...,to_{n-1}``, then one row of
-    transition probabilities per source state.
-    """
+def _read_transition_csv(path: str | Path) -> np.ndarray:
+    """Transition matrix from a CSV: header ``to_0,...,to_{n-1}``, one row per state."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -274,37 +273,37 @@ def finite_chain_from_csv(path: str | Path, h_values) -> FiniteChainModel:
     matrix = np.asarray(rows)
     if matrix.ndim != 2 or matrix.shape != (len(header), len(header)):
         raise ConfigError(f"{path}: need a {len(header)}x{len(header)} matrix, got {matrix.shape}")
+    return matrix
+
+
+def finite_chain_from_csv(path: str | Path, h_values) -> FiniteChainModel:
+    """Load a finite chain from a CSV transition matrix.
+
+    Expected layout: header row ``to_0,...,to_{n-1}``, then one row of
+    transition probabilities per source state.
+    """
+    return _finite_chain(path, _read_transition_csv(path), h_values)
+
+
+def _finite_chain(where, matrix, h_values) -> FiniteChainModel:
     try:
         return FiniteChainModel(matrix, np.asarray(h_values, dtype=float))
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def resolve_test_function(cfg: ExperimentConfig, model=None) -> TestFunction:
-    """Pick the test function: a registry name, or the finite model's table."""
-    if cfg.model == "finite" and isinstance(model, FiniteChainModel):
-        if cfg.test_function in TEST_FUNCTIONS:
-            return TEST_FUNCTIONS[cfg.test_function]
-        return model.test_function()
-    return TEST_FUNCTIONS[cfg.test_function]
+    """Pick the test function: a registry name, or the model's own table."""
+    if cfg.test_function in TEST_FUNCTIONS:
+        return TEST_FUNCTIONS[cfg.test_function]
+    return model.test_function()
 
 
 def build_model(cfg: ExperimentConfig):
     """Materialize the raw model object named by the config."""
     params = dict(cfg.model_params)
     try:
-        if cfg.model == "ar1":
-            model = Ar1Model(
-                phi=float(params.pop("phi", 0.99)), sigma=float(params.pop("sigma", 1.0))
-            )
-        elif cfg.model in ("cauchy-gibbs", "cauchy-mrth"):
-            model = CauchyNormalModel(
-                observations=tuple(params.pop("observations", (-8.0, 8.0, 17.0))),
-                prior_variance=float(params.pop("prior_variance", 100.0)),
-                mrth_proposal_sd=float(params.pop("mrth_proposal_sd", 10.0)),
-            )
-        else:
-            return _finite_from_params(cfg, params)
+        model = MODELS[cfg.model].build(cfg, params)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -315,55 +314,74 @@ def build_model(cfg: ExperimentConfig):
 
 def build_bundle(cfg: ExperimentConfig) -> tuple[ModelBundle, TestFunction]:
     """Materialize the coupled kernel, initial distribution and test function."""
-    model = build_model(cfg)
+    return bundle_for(cfg, build_model(cfg))
+
+
+def bundle_for(cfg: ExperimentConfig, model) -> tuple[ModelBundle, TestFunction]:
+    """The bundle and test function of a model that :func:`build_model` built."""
+    entry = MODELS[cfg.model]
     try:
         spec = CouplingSpec(cfg.coupling_kind) if cfg.coupling_kind else None
-        if cfg.model == "ar1":
-            kernel = ar1_kernel(model, spec)
-            bundle = ModelBundle(kernel, lambda rng: 4.0 * rng.standard_normal(), "ar1")
-        elif cfg.model == "cauchy-gibbs":
-            bundle = ModelBundle(
-                cauchy_gibbs_kernel(model, spec), lambda rng: rng.standard_normal(), cfg.model
-            )
-        elif cfg.model == "cauchy-mrth":
-            bundle = ModelBundle(
-                cauchy_mrth_kernel(model, spec), lambda rng: rng.standard_normal(), cfg.model
-            )
-        else:
-            n = model.n_states
-            bundle = ModelBundle(
-                finite_kernel(model, spec), lambda rng: int(rng.integers(n)), "finite"
-            )
+        kernel = entry.kernel(model, spec)
     except ValueError as exc:
         raise ConfigError(f"config section 'coupling': {exc}") from exc
-    return bundle, resolve_test_function(cfg, model)
+    return ModelBundle(kernel, entry.init(model), cfg.model), resolve_test_function(cfg, model)
 
 
-def _finite_from_params(cfg: ExperimentConfig, params: dict) -> FiniteChainModel:
+def _ar1(cfg: ExperimentConfig, params: dict) -> Ar1Model:
+    return Ar1Model(phi=float(params.pop("phi", 0.99)), sigma=float(params.pop("sigma", 1.0)))
+
+
+def _cauchy(cfg: ExperimentConfig, params: dict) -> CauchyNormalModel:
+    return CauchyNormalModel(
+        observations=tuple(params.pop("observations", (-8.0, 8.0, 17.0))),
+        prior_variance=float(params.pop("prior_variance", 100.0)),
+        mrth_proposal_sd=float(params.pop("mrth_proposal_sd", 10.0)),
+    )
+
+
+def _finite(cfg: ExperimentConfig, params: dict) -> FiniteChainModel:
     csv_path = params.pop("transition_csv", None)
     matrix = params.pop("transition_matrix", None)
     h_values = params.pop("h_values", None)
     _reject_extras("model", params)
     if csv_path is None and matrix is None:
         raise ConfigError("config key 'model.transition_csv' or 'model.transition_matrix' required")
-    if h_values is None:
-        n = len(matrix) if matrix is not None else _csv_size(csv_path)
-        name = cfg.test_function if cfg.test_function in TEST_FUNCTIONS else "identity"
-        fn = TEST_FUNCTIONS[name]
-        h_values = np.array([fn.eval(float(s)) for s in range(n)])
     if csv_path is not None:
-        return finite_chain_from_csv(csv_path, h_values)
-    return FiniteChainModel(np.asarray(matrix, dtype=float), np.asarray(h_values, dtype=float))
-
-
-def _csv_size(path: str | Path) -> int:
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ConfigError(f"{path}: empty transition CSV")
-    return len(header)
+        matrix = _read_transition_csv(csv_path)
+    if h_values is None:
+        fn = TEST_FUNCTIONS.get(cfg.test_function, TEST_FUNCTIONS["identity"])
+        h_values = [fn.eval(float(s)) for s in range(len(matrix))]
+    where = "config section 'model'" if csv_path is None else csv_path
+    return _finite_chain(where, matrix, h_values)
 
 
 def _reject_extras(section: str, params: dict) -> None:
     if params:
         raise ConfigError(f"config section {section!r} has unknown keys: {sorted(params)}")
+
+
+@dataclass(frozen=True)
+class ModelEntry:
+    """How one built-in model is built from the ``model`` section, coupled and started."""
+
+    build: Callable[[ExperimentConfig, dict], object]  # pops its keys, with defaults
+    kernel: Callable[[object, CouplingSpec | None], CoupledKernel]
+    init: Callable[[object], Callable[[np.random.Generator], object]]  # model -> initial law
+    state: type  # int for state indices, float for continuous states
+
+
+MODELS: dict[str, ModelEntry] = {
+    "ar1": ModelEntry(_ar1, ar1_kernel, lambda m: lambda rng: 4.0 * rng.standard_normal(), float),
+    "cauchy-gibbs": ModelEntry(
+        _cauchy, cauchy_gibbs_kernel, lambda m: lambda rng: rng.standard_normal(), float
+    ),
+    "cauchy-mrth": ModelEntry(
+        _cauchy, cauchy_mrth_kernel, lambda m: lambda rng: rng.standard_normal(), float
+    ),
+    "finite": ModelEntry(
+        _finite, finite_kernel, lambda m: lambda rng, n=m.n_states: int(rng.integers(n)), int
+    ),
+}
+
+MODEL_NAMES = tuple(MODELS)

@@ -5,8 +5,9 @@ distributions given log-densities and samplers, reflection-maximal couplings of
 equal-covariance Normals (univariate and multivariate, with deterministic
 cost), a coupled MRTH kernel sharing one acceptance uniform, and the
 common-random-number + maximal-coupling construction for the Cauchy location
-Gibbs sampler.  ``make_coupled_kernel`` assembles a faithful
-:class:`~fishyvar.chains.CoupledKernel` for every built-in model.
+Gibbs sampler.  One factory per sampler assembles its faithful
+:class:`~fishyvar.chains.CoupledKernel`; ``config.MODELS`` names the factory
+each built-in model uses.
 
 All acceptance ratios are computed in log space; ties resolve as accept.
 """
@@ -14,7 +15,7 @@ All acceptance ratios are computed in log space; ties resolve as accept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "reflection_maximal_nd",
     "coupled_mrth_step",
     "coupled_gibbs_step",
-    "make_coupled_kernel",
     "ar1_kernel",
     "cauchy_gibbs_kernel",
     "cauchy_mrth_kernel",
@@ -70,7 +70,6 @@ class CouplingSpec:
     """Choice of coupling construction, selectable per model in configs."""
 
     kind: str = "reflection-maximal"
-    parameters: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in COUPLING_KINDS:
@@ -212,13 +211,13 @@ def coupled_gibbs_step(
     theta: float,
     theta_tilde: float,
     rng: np.random.Generator,
-    max_rejections: int = DEFAULT_REJECTION_CAP,
 ) -> tuple[float, float]:
     """Coupled Gibbs sweep for the Cauchy location posterior.
 
     The auxiliary Exponential draws share uniforms through the inverse CDF;
     the location updates are joined by a maximal coupling of the two
-    conditional Normals.
+    conditional Normals, whose rejection loop is capped at
+    ``DEFAULT_REJECTION_CAP`` iterations.
     """
     s1 = sz1 = s2 = sz2 = 0.0
     for z in model.observations:
@@ -243,7 +242,6 @@ def coupled_gibbs_step(
         lambda t: -0.5 * (t - m2) ** 2 / v2 - c2,
         lambda r: m2 + sd2 * r.standard_normal(),
         rng,
-        max_rejections=max_rejections,
     )
     return x, y
 
@@ -344,23 +342,3 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
     else:
         raise ValueError(f"coupling kind {spec.kind!r} not available for finite chains")
     return CoupledKernel(base, step)
-
-
-_FACTORIES = {
-    Ar1Model: ar1_kernel,
-    CauchyNormalModel: cauchy_gibbs_kernel,
-    FiniteChainModel: finite_kernel,
-}
-
-
-def make_coupled_kernel(model, spec: CouplingSpec | None = None) -> CoupledKernel:
-    """Assemble the faithful coupled kernel for a built-in model.
-
-    For the Cauchy posterior this picks the Gibbs sampler; use
-    :func:`cauchy_mrth_kernel` explicitly for the MRTH alternative.
-    """
-    try:
-        factory = _FACTORIES[type(model)]
-    except KeyError:
-        raise TypeError(f"no coupled kernel factory for {type(model).__name__}") from None
-    return factory(model, spec)

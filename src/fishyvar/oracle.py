@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import FiniteChainModel
+from .chains import Ar1Model, FiniteChainModel
 
 __all__ = [
     "OracleSolution",
@@ -94,16 +94,17 @@ def _avar_matrix(pi: np.ndarray, h0: np.ndarray, g: np.ndarray) -> np.ndarray:
     return v
 
 
-def fishy_series(
-    model: FiniteChainModel,
-    tol: float = 1e-14,
-    patience: int = 10,
-    max_terms: int = 10**6,
-) -> np.ndarray:
+SERIES_TOL = 1e-14
+SERIES_PATIENCE = 10
+SERIES_MAX_TERMS = 10**6
+
+
+def fishy_series(model: FiniteChainModel) -> np.ndarray:
     """Mean-zero fishy function by truncated power series, an independent oracle.
 
-    Sums P^t (h - pi(h)) until the increment's max norm stays below ``tol``
-    for ``patience`` consecutive terms.
+    Sums P^t (h - pi(h)) until the increment's max norm stays below
+    ``SERIES_TOL`` for ``SERIES_PATIENCE`` consecutive terms, failing after
+    ``SERIES_MAX_TERMS`` terms.
     """
     p = model.transition_matrix
     h = model.h_values
@@ -111,12 +112,12 @@ def fishy_series(
     term = h - pi @ h
     total = term.copy()
     small = 0
-    for _ in range(max_terms):
+    for _ in range(SERIES_MAX_TERMS):
         term = p @ term
         total += term
-        if np.abs(term).max() < tol:
+        if np.abs(term).max() < SERIES_TOL:
             small += 1
-            if small >= patience:
+            if small >= SERIES_PATIENCE:
                 return total
         else:
             small = 0
@@ -180,11 +181,8 @@ class Ar1TheoryBound:
     beta_bar: float = field(init=False)
 
     def __post_init__(self) -> None:
+        Ar1Model(self.phi, self.sigma)  # the same checks and messages
         phi = self.phi
-        if not 0.0 < phi < 1.0:
-            raise ValueError("phi must lie in (0, 1)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
         beta = (1.0 + phi * phi) / 2.0
         b = 2.0 - phi * phi
         h_const = 1.0 - math.exp(-3.0 * phi * phi / (1.0 - phi * phi)) / math.sqrt(2.0)

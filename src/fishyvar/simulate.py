@@ -90,12 +90,9 @@ class CoupledRun:
             return
         if self._kernel is None or self._rng is None:
             raise ValueError("run does not retain its kernel/stream; rerun with a larger horizon")
-        step = self._kernel.base.step
-        x = self.x_path[-1]
-        for _ in range(horizon - self.horizon):
-            x = step(x, self._rng)
-            self.x_path.append(x)
-            self.cost_units += 1
+        start, step = self.horizon, self._kernel.base.step
+        _advance_x(step, self.x_path[-1], start, horizon, self._rng, self.x_path, None)
+        self.cost_units += horizon - start
 
 
 def run_coupled(
@@ -136,17 +133,8 @@ def run_coupled(
     if on_x is not None:
         on_x(0, x0)
 
-    cost = 0
-    t = 0  # index of the X chain
-    x = x0
-    for _ in range(lag):
-        x = step(x, rng)
-        t += 1
-        cost += 1
-        if keep_paths:
-            x_path.append(x)
-        if on_x is not None:
-            on_x(t, x)
+    x = _advance_x(step, x0, 0, lag, rng, x_path, on_x)
+    t = cost = lag  # index of the X chain; transitions so far
     if on_y is not None:
         on_y(0, y0)
 
@@ -171,18 +159,23 @@ def run_coupled(
             elif cost >= budget:
                 raise TransitionBudgetError(lag, cost)
 
-    while t < horizon_min:
-        x = step(x, rng)
-        t += 1
-        cost += 1
-        if keep_paths:
-            x_path.append(x)
-        if on_x is not None:
-            on_x(t, x)
+    _advance_x(step, x, t, horizon_min, rng, x_path, on_x)
+    cost += max(horizon_min - t, 0)
 
     if not keep_paths:
         return CoupledRun(lag, None, None, tau, cost)
     return CoupledRun(lag, x_path, y_path, tau, cost, _kernel=kernel, _rng=rng)
+
+
+def _advance_x(step, x: State, start: int, until: int, rng, x_path: list | None, on_x) -> State:
+    """Advance the X chain alone from index ``start`` to ``until``; returns X_until."""
+    for t in range(start + 1, until + 1):
+        x = step(x, rng)
+        if x_path is not None:
+            x_path.append(x)
+        if on_x is not None:
+            on_x(t, x)
+    return x
 
 
 @dataclass(frozen=True)

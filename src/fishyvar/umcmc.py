@@ -288,6 +288,9 @@ def sample_unbiased(
     return map_replicates(one, stream.children(n_reps), n_workers)
 
 
+ELL_MULTIPLE = 5  # pilot-tuned ell as a multiple of k
+
+
 @dataclass(frozen=True)
 class PilotTuning:
     """Tuning parameters recommended from a pilot meeting run."""
@@ -299,21 +302,16 @@ class PilotTuning:
     n_pilot: int
 
 
-def pilot_tuning(
-    taus: Sequence[int],
-    pilot_lag: int,
-    quantile: float = 0.99,
-    ell_multiple: int = 5,
-) -> PilotTuning:
+def pilot_tuning(taus: Sequence[int], pilot_lag: int, quantile: float = 0.99) -> PilotTuning:
     """Pick (k, lag, ell) from pilot meeting times.
 
     k and the lag are both set to the requested quantile of the observed
-    meeting times, and ell to a multiple of k, which keeps the fraction of
-    discarded iterations low.
+    meeting times, and ell to ``ELL_MULTIPLE`` times k, which keeps the
+    fraction of discarded iterations low.
     """
     taus = np.asarray(list(taus))
     if taus.size == 0:
         raise ValueError("pilot requires at least one meeting time")
     q = int(np.ceil(np.quantile(taus, quantile)))
     k = max(q, 1)
-    return PilotTuning(k=k, lag=k, ell=ell_multiple * k, quantile=quantile, n_pilot=taus.size)
+    return PilotTuning(k=k, lag=k, ell=ELL_MULTIPLE * k, quantile=quantile, n_pilot=taus.size)

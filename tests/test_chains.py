@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +250,93 @@ def test_finite_validation_rejects_bad_matrices():
         FiniteChainModel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 1)))  # periodic
     with pytest.raises(ValueError):
         FiniteChainModel(np.array([[1.2, -0.2], [0.5, 0.5]]), np.zeros((2, 1)))
+
+
+def _stochastic(support) -> np.ndarray:
+    """Uniform transition rows over a 0/1 support (every row needs an entry)."""
+    a = np.asarray(support, dtype=float)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _reference_defect(support) -> str | None:
+    """Graph-search reference: 'irreducible', 'aperiodic' or None for a valid chain.
+
+    Reachability by Warshall's closure; the period is the gcd, over edges
+    (i, j), of level(i) + 1 - level(j) for breadth-first levels from state 0.
+    """
+    a = np.asarray(support, dtype=bool)
+    n = a.shape[0]
+    reach = a | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    if not reach.all():
+        return "irreducible"
+    level, frontier = {0: 0}, [0]
+    while frontier:
+        i = frontier.pop(0)
+        for j in np.flatnonzero(a[i]):
+            if j not in level:
+                level[j] = level[i] + 1
+                frontier.append(j)
+    period = 0
+    for i, j in zip(*np.nonzero(a)):
+        period = math.gcd(period, level[i] + 1 - level[j])
+    return None if period == 1 else "aperiodic"
+
+
+def test_reducible_chains_are_rejected():
+    reducible = [
+        [[1, 0], [0, 1]],  # two closed classes
+        [[1, 1], [0, 1]],  # a transient state feeding an absorbing one
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],  # periodic and aperiodic class
+    ]
+    for support in reducible:
+        with pytest.raises(ValueError, match="chain is not irreducible"):
+            FiniteChainModel(_stochastic(support), np.zeros(len(support)))
+
+
+def test_periodic_chains_are_rejected_and_wielandt_chains_accepted():
+    n = 6
+    cycle = np.roll(np.eye(n), 1, axis=1)  # i -> i + 1 mod n, period n
+    # period 2, with 40 states so that unclipped powers would overflow to inf
+    bipartite = np.kron([[0, 1], [1, 0]], np.ones((20, 20)))
+    for support in (cycle, bipartite, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]):
+        with pytest.raises(ValueError, match="chain is not aperiodic"):
+            FiniteChainModel(_stochastic(support), np.zeros(len(support)))
+    # Wielandt's chain: the cycle plus one chord n-1 -> 1 is aperiodic, yet
+    # its support matrix first turns positive at the power (n - 1)^2 + 1
+    wielandt = cycle.copy()
+    wielandt[n - 1, 1] = 1.0
+    a = wielandt.astype(int)
+    power = np.linalg.matrix_power(a, (n - 1) ** 2)
+    assert not power.all() and (power @ a).all()
+    assert FiniteChainModel(_stochastic(wielandt), np.zeros(n)).n_states == n
+
+
+def test_chain_validation_matches_a_graph_search_on_random_supports():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        support = rng.random((n, n)) < rng.uniform(0.15, 0.6)
+        support[np.arange(n), rng.integers(n, size=n)] = True  # no empty row
+        expected = _reference_defect(support)
+        seen.add(expected)
+        try:
+            FiniteChainModel(_stochastic(support), np.zeros(n))
+            got = None
+        except ValueError as exc:
+            got = str(exc).removeprefix("chain is not ")
+        assert got == expected, support.astype(int)
+    assert seen == {None, "irreducible", "aperiodic"}
+
+
+def test_import_does_not_load_networkx():
+    import fishyvar
+
+    src = str(Path(fishyvar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fishyvar; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

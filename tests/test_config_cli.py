@@ -7,6 +7,8 @@ from fishyvar.chains import FiniteChainModel
 from fishyvar.cli import main, run_experiment
 from fishyvar.config import (
     MAX_REPS,
+    MODEL_NAMES,
+    MODELS,
     ConfigError,
     ExperimentConfig,
     build_bundle,
@@ -14,6 +16,7 @@ from fishyvar.config import (
     finite_chain_from_csv,
     load_config,
 )
+from fishyvar.rng import RngStream
 
 
 @pytest.fixture
@@ -103,6 +106,19 @@ def test_coupling_kind_flows_through():
     assert bundle.label == "ar1"
     with pytest.raises(ConfigError):
         build_bundle(ExperimentConfig(model="ar1", coupling_kind="maximal-rejection"))
+
+
+def test_every_registered_model_builds_a_faithful_labelled_bundle(finite_csv):
+    assert MODEL_NAMES == ("ar1", "cauchy-gibbs", "cauchy-mrth", "finite")
+    for name in MODEL_NAMES:
+        params = {"transition_csv": str(finite_csv)} if name == "finite" else {}
+        bundle, h = build_bundle(ExperimentConfig(model=name, model_params=params))
+        assert bundle.label == bundle.kernel.base.label == name
+        x0 = bundle.init_sampler(RngStream(1).generator())
+        assert type(x0) is MODELS[name].state
+        x1, y1 = bundle.kernel.coupled_step(x0, x0, RngStream(2).generator())
+        assert x1 == y1 and type(x1) is MODELS[name].state
+        assert h.arity == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from fishyvar.couplings import (
     coupled_gibbs_step,
     coupled_mrth_step,
     finite_kernel,
-    make_coupled_kernel,
     maximal_coupling,
     reflection_maximal_1d,
     reflection_maximal_nd,
@@ -387,10 +386,6 @@ def test_coupling_spec_validation(np_rng):
         ar1_kernel(Ar1Model(0.5), CouplingSpec("maximal-rejection"))
     with pytest.raises(ValueError):
         finite_kernel(random_finite_chain(np_rng), CouplingSpec("reflection-maximal"))
-    with pytest.raises(TypeError):
-        make_coupled_kernel(object())
-    kernel = make_coupled_kernel(Ar1Model(0.5))
-    assert kernel.base.label == "ar1"
 
 
 def test_crn_ar1_coupling_shares_noise():

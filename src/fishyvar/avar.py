@@ -8,9 +8,8 @@ Two routes to the variance in the ergodic-average CLT:
 * An unbiased, finite-cost estimator: draw two independent signed measures,
   estimate the target variance from the pair, subsample R atoms per measure by
   selection probabilities, attach one independent fishy estimate per selected
-  atom, and combine.  Uniform selection streams the measures through
-  reservoirs and never stores full trajectories; optimal selection needs the
-  retained atoms.
+  atom, and combine.  Every selection kind builds both measures from retained
+  runs, so memory per replicate is O(ell + tau).
 
 Selection probabilities proportional to the square root of the per-atom
 second-moment products minimize the correction term's conditional variance
@@ -27,19 +26,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import ModelBundle, State, TestFunction, states_equal
+from .chains import ModelBundle, State, TestFunction
 from .diagnostics import bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
 from .simulate import DEFAULT_TRANSITION_BUDGET, map_replicates, run_coupled
-from .umcmc import (
-    SignedMeasure,
-    UniformReservoir,
-    _categorical,
-    estimator_cost,
-    signed_measure,
-    vt_weight,
-)
+from .umcmc import SignedMeasure, _categorical, signed_measure
 
 __all__ = [
     "AvarEstimate",
@@ -114,7 +106,7 @@ def unbiased_target_variance(
     """
     if h.arity != 1:
         raise ValueError("unbiased_target_variance expects a scalar test function")
-    return float(_target_covariance(_moments(pihat1, h), _moments(pihat2, h))[0, 0])
+    return float(_target_covariance(*_moments(pihat1, h), *_moments(pihat2, h))[0, 0])
 
 
 def selection_probs(
@@ -170,113 +162,43 @@ def selection_probs(
 # ---------------------------------------------------------------------------
 
 
-class _Moments:
-    """Integrals of h and of h h^T against a signed measure, fed atom by atom.
+def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of h, shape (d,), and of h h^T, shape (d, d), against a measure.
 
-    The one accumulator behind both SUAVE routes and the target variance.
-    For arity 1 the sums stay Python floats: two float products per atom.
+    The one accumulator behind SUAVE and the target variance.  For arity 1
+    the sums stay Python floats: two float products per atom.
     """
-
-    def __init__(self, h: TestFunction):
-        self._h = h.evaluator
-        self._outer = operator.mul if h.arity == 1 else np.outer
-        self._sum_h = 0.0
-        self._sum_hh = 0.0
-
-    def add(self, atom: State, weight: float) -> None:
-        hv = self._h(atom)
-        wh = weight * hv
-        self._sum_h += wh
-        self._sum_hh += self._outer(wh, hv)
-
-    @property
-    def mean_h(self) -> np.ndarray:
-        """Integral of h, shape (d,)."""
-        return np.array(self._sum_h, ndmin=1)
-
-    @property
-    def raw_cross(self) -> np.ndarray:
-        """Integral of h h^T, shape (d, d)."""
-        return np.array(self._sum_hh, ndmin=2)
-
-
-def _moments(pihat: SignedMeasure, h: TestFunction) -> _Moments:
-    acc = _Moments(h)
+    hfn = h.evaluator
+    outer = operator.mul if h.arity == 1 else np.outer
+    sum_h = sum_hh = 0.0
     for z, w in zip(pihat.atoms, pihat.weights.tolist()):
-        acc.add(z, w)
-    return acc
+        hv = hfn(z)
+        wh = w * hv
+        sum_h += wh
+        sum_hh += outer(wh, hv)
+    return np.array(sum_h, ndmin=1), np.array(sum_hh, ndmin=2)
 
 
-def _target_covariance(a, b) -> np.ndarray:
+def _target_covariance(mean_a, cross_a, mean_b, cross_b) -> np.ndarray:
     """Unbiased stationary covariance of h from two independent measures.
 
     The mean of the integrals of h h^T minus the symmetrized outer product of
-    the integrals of h; ``a`` and ``b`` carry each measure's ``mean_h`` and
-    ``raw_cross``.
+    the integrals of h, from each measure's :func:`_moments`.
     """
-    prod = np.outer(a.mean_h, b.mean_h)
-    return 0.5 * (a.raw_cross + b.raw_cross) - 0.5 * (prod + prod.T)
+    prod = np.outer(mean_a, mean_b)
+    return 0.5 * (cross_a + cross_b) - 0.5 * (prod + prod.T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _MeasureSummary:
     """What the combination step needs from one signed measure."""
 
-    n_atoms: int
     mean_h: np.ndarray  # integral of h, shape (d,)
     raw_cross: np.ndarray  # integral of h h^T, shape (d, d)
     selected_atoms: list
     selected_weights: np.ndarray
     selected_probs: np.ndarray
     cost_units: int
-
-
-class _StreamingMeasure(_Moments):
-    """Online signed-measure summary fed by run visitors, with reservoirs.
-
-    Consumes the atom stream in generation order: ergodic atoms as X_t enters
-    [k, ell], then the correction pair (X_{s+lag}, Y_s) as each Y_s with
-    s >= k arrives unmet.  Memory is bounded by the R reservoir slots.
-    """
-
-    def __init__(self, h: TestFunction, k: int, ell: int, lag: int, R: int, rng):
-        super().__init__(h)
-        self.k = k
-        self.ell = ell
-        self.lag = lag
-        self.w0 = 1.0 / (ell - k + 1)
-        self.reservoir = UniformReservoir(R, rng)
-        self._x_last: State | None = None
-
-    def on_x(self, t: int, x: State) -> None:
-        self._x_last = x
-        if self.k <= t <= self.ell:
-            self.add(x, self.w0)
-            self.reservoir.offer((x, self.w0))
-
-    def on_y(self, s: int, y: State) -> None:
-        # Y_0 is not a coupled draw: (X_lag, Y_0) is a correction pair even if equal
-        if s > 0 and states_equal(self._x_last, y):
-            return  # this draw met: correction terms stop at tau - 1
-        if s >= self.k:
-            v = vt_weight(s + self.lag, self.k, self.ell, self.lag) * self.w0
-            for atom, weight in ((self._x_last, v), (y, -v)):
-                self.add(atom, weight)
-                self.reservoir.offer((atom, weight))
-
-    def summary(self) -> _MeasureSummary:
-        n = self.reservoir.count
-        atoms = [item[0] for item in self.reservoir.items]
-        weights = np.array([item[1] for item in self.reservoir.items])
-        return _MeasureSummary(
-            n_atoms=n,
-            mean_h=self.mean_h,
-            raw_cross=self.raw_cross,
-            selected_atoms=atoms,
-            selected_weights=weights,
-            selected_probs=np.full(len(atoms), 1.0 / n),
-            cost_units=0,  # filled by the caller from the run
-        )
 
 
 def _draw_summaries(
@@ -293,50 +215,29 @@ def _draw_summaries(
 ) -> list[_MeasureSummary]:
     """Draw SUAVE's two independent signed measures and R atoms from each.
 
-    Uniform selection streams each run's atoms through reservoirs and keeps no
-    trajectory.  Other selections retain both measures, since each measure's
-    probabilities depend on the other's integral of h.
+    Both measures are built before either selection, since each measure's
+    optimal probabilities depend on the other's integral of h.  Zero-weight
+    atoms are pruned first, so no fishy estimate is spent on one.
     """
-    kernel = bundle.kernel
-    init = bundle.init_sampler
-    summaries, measures = [], []
+    measures = []
     for _ in range(2):
-        x0 = init(rng)
-        y0 = init(rng)
-        if xi_kind != "uniform":
-            run = run_coupled(kernel, x0, y0, lag, ell, rng, budget=budget)
-            measures.append(signed_measure(run, k, ell))
-            continue
-        acc = _StreamingMeasure(h, k, ell, lag, R, rng)
-        run = run_coupled(
-            kernel,
-            x0,
-            y0,
-            lag,
-            ell,
-            rng,
-            keep_paths=False,
-            budget=budget,
-            on_x=acc.on_x,
-            on_y=acc.on_y,
-        )
-        summary = acc.summary()
-        summary.cost_units = estimator_cost(k, ell, lag, run.meeting_time)
-        summaries.append(summary)
+        x0 = bundle.init_sampler(rng)
+        y0 = bundle.init_sampler(rng)
+        run = run_coupled(bundle.kernel, x0, y0, lag, ell, rng, budget=budget)
+        measures.append(signed_measure(run, k, ell).pruned())
 
     moments = [_moments(pihat, h) for pihat in measures]
-    for pihat, own, other in zip(measures, moments, moments[::-1]):
-        pruned = pihat.pruned()
-        other_mean = float(other.mean_h[0])  # read by optimal selection, which needs arity 1
-        probs = selection_probs(pruned, h, other_mean, second_moment_table, xi_kind)
+    summaries = []
+    for pihat, (mean_h, raw_cross), (other_mean_h, _) in zip(measures, moments, moments[::-1]):
+        other_mean = float(other_mean_h[0])  # read by optimal selection, which needs arity 1
+        probs = selection_probs(pihat, h, other_mean, second_moment_table, xi_kind)
         idx = _categorical(probs.xi, R, rng)
         summaries.append(
             _MeasureSummary(
-                n_atoms=pruned.n_atoms,
-                mean_h=own.mean_h,
-                raw_cross=own.raw_cross,
-                selected_atoms=[pruned.atoms[i] for i in idx],
-                selected_weights=pruned.weights[idx],
+                mean_h=mean_h,
+                raw_cross=raw_cross,
+                selected_atoms=[pihat.atoms[i] for i in idx],
+                selected_weights=pihat.weights[idx],
                 selected_probs=probs.xi[idx],
                 cost_units=pihat.cost_units,
             )
@@ -379,7 +280,8 @@ def suave_multivariate(
     summaries = _draw_summaries(
         bundle, h, k, ell, lag, R, xi_kind, rng, second_moment_table, budget
     )
-    vhat_pi = _target_covariance(*summaries)
+    a, b = summaries
+    vhat_pi = _target_covariance(a.mean_h, a.raw_cross, b.mean_h, b.raw_cross)
 
     d = h.arity
     correction = np.zeros((d, d))

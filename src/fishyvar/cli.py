@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .avar import epave, inefficiency, sample_suave
+from .avar import XI_KINDS, epave, inefficiency, sample_suave
 from .config import (
     MAX_REPS,
     MODEL_NAMES,
@@ -491,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag, attr in (("--k", "k"), ("--L", "lag"), ("--ell", "ell"), ("--R", "R")):
         p.add_argument(flag, dest=attr, type=int, default=None)
     p.add_argument("--y", type=float, default=None)
-    p.add_argument("--xi", choices=("uniform", "optimal", "proportional-to-abs-weight"), default=None)
+    p.add_argument("--xi", choices=XI_KINDS, default=None)
     p.add_argument("--grid", type=float, nargs="+", default=None)
 
     p = add("theory-check", help="AR(1) survival bound constants and curve")

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
+from .avar import XI_KINDS
 from .chains import (
     Ar1Model,
     CauchyNormalModel,
@@ -107,8 +108,7 @@ class ExperimentConfig:
             (self.lag >= 0, "estimator.L", "must be nonnegative"),
             (self.k <= self.ell, "estimator.ell", "must be at least k"),
             (self.R >= 1, "estimator.R", "must be at least 1"),
-            (self.xi in ("uniform", "optimal", "proportional-to-abs-weight"),
-             "estimator.xi", "must be uniform, optimal or proportional-to-abs-weight"),
+            (self.xi in XI_KINDS, "estimator.xi", f"must be one of {XI_KINDS}"),
             (self.thin >= 1, "estimator.thin", "must be at least 1"),
             (self.t_steps >= 2, "estimator.t_steps", "must be at least 2"),
             (self.burn_in is None or self.burn_in >= 0, "estimator.burn_in", "must be nonnegative"),
@@ -348,7 +348,10 @@ def _finite(cfg: ExperimentConfig, params: dict) -> FiniteChainModel:
     if csv_path is None and matrix is None:
         raise ConfigError("config key 'model.transition_csv' or 'model.transition_matrix' required")
     if csv_path is not None:
-        matrix = _read_transition_csv(csv_path)
+        try:
+            matrix = _read_transition_csv(csv_path)
+        except OSError as exc:
+            raise ConfigError(f"config key 'model.transition_csv' cannot be read: {exc}") from exc
     if h_values is None:
         fn = TEST_FUNCTIONS.get(cfg.test_function, TEST_FUNCTIONS["identity"])
         h_values = [fn.eval(float(s)) for s in range(len(matrix))]

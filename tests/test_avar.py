@@ -309,39 +309,27 @@ def test_suave_argument_validation(np_rng):
         suave_multivariate(bundle, h, 1, 5, 1, 1, 0, xi_kind="bogus")
 
 
-@pytest.mark.parametrize("k", [0, 3])
-def test_streaming_measure_matches_retained_signed_measure(np_rng, k):
-    # drive the streaming accumulator with a dedicated reservoir stream so the
-    # kernel stream replays identically for the retained reference
-    from fishyvar.avar import _StreamingMeasure
-
+def test_suave_uniform_never_selects_zero_weight_atoms(np_rng):
+    # with k = ell and lag 3, two of every three correction pairs have v_t = 0
     model = random_finite_chain(np_rng)
-    kernel = finite_kernel(model)
+    bundle = _finite_bundle(model)
     h = model.test_function()
-    ell, lag = 12, 2
-    for seed in range(30):
-        acc = _StreamingMeasure(h, k, ell, lag, 5, RngStream(1, seed).generator())
-        run_coupled(
-            kernel,
-            0,
-            1,
-            lag,
-            ell,
-            RngStream(2, seed).generator(),
-            keep_paths=False,
-            on_x=acc.on_x,
-            on_y=acc.on_y,
+    k = ell = 0
+    lag, R = 3, 10
+    zero_atoms = 0
+    for seed in range(300):
+        summaries = avar._draw_summaries(
+            bundle, h, k, ell, lag, R, "uniform", RngStream(13, seed).generator(), None, 10**6
         )
-        reference = run_coupled(kernel, 0, 1, lag, ell, RngStream(2, seed).generator())
-        pihat = signed_measure(reference, k, ell)
-        summary = acc.summary()
-        assert summary.n_atoms == pihat.n_atoms
-        assert summary.mean_h[0] == pytest.approx(pihat.integrate(h)[0], abs=1e-12)
-        h2 = TestFunction(lambda s: h.eval_scalar(s) ** 2, 1)
-        assert summary.raw_cross[0, 0] == pytest.approx(pihat.integrate(h2)[0], abs=1e-12)
-        pairs = list(zip(pihat.atoms, pihat.weights))
-        for atom, weight in zip(summary.selected_atoms, summary.selected_weights):
-            assert any(atom == a and weight == pytest.approx(w) for a, w in pairs)
+        for summary in summaries:
+            assert len(summary.selected_weights) == R
+            assert np.all(summary.selected_weights != 0.0)
+        # replay the first run on the same stream to confirm zero weights occur
+        rng = RngStream(13, seed).generator()
+        x0, y0 = bundle.init_sampler(rng), bundle.init_sampler(rng)
+        pihat = signed_measure(run_coupled(bundle.kernel, x0, y0, lag, ell, rng), k, ell)
+        zero_atoms += int(np.sum(pihat.weights == 0.0))
+    assert zero_atoms > 0
 
 
 # ---------------------------------------------------------------------------

@@ -357,12 +357,14 @@ def test_seed_outside_the_key_word_exits_2(tmp_path, monkeypatch, capsys, seed):
         (["fishy", "--config", "{empty_grid}"], "grid"),
         (["theory-check", "--phi", "0.99"], "model.phi"),
         (["meetings", "--coupling", "bogus"], "coupling"),
+        (["oracle", "--model", "finite", "--transition-csv", "{missing}"], "model.transition_csv"),
     ],
 )
 def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
     empty_grid = tmp_path / "grid.yaml"
     empty_grid.write_text("grid: []\n")
-    argv = [arg.format(empty_grid=empty_grid) for arg in argv]
+    missing = tmp_path / "missing.csv"
+    argv = [arg.format(empty_grid=empty_grid, missing=missing) for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--reps", "5", "--out", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err

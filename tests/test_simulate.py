@@ -135,6 +135,38 @@ def test_extend_to_continues_single_chain(np_rng):
     assert run.horizon == h0 + 25
 
 
+@pytest.mark.parametrize("lag", [0, 1, 3])
+def test_visitors_replay_the_retained_paths_in_order(np_rng, lag):
+    model = random_finite_chain(np_rng)
+    kernel = finite_kernel(model)
+    horizon = 12
+    for seed in range(50):
+        events = []
+        run = run_coupled(
+            kernel,
+            0,
+            1,
+            lag,
+            horizon,
+            RngStream(seed, 300).generator(),
+            keep_paths=False,
+            on_x=lambda t, x: events.append(("x", t, x)),
+            on_y=lambda s, y: events.append(("y", s, y)),
+        )
+        reference = run_coupled(kernel, 0, 1, lag, horizon, RngStream(seed, 300).generator())
+        assert run.meeting_time == reference.meeting_time
+        # each index once, in order, with the retained values on the same stream
+        xs = [(t, x) for kind, t, x in events if kind == "x"]
+        ys = [(s, y) for kind, s, y in events if kind == "y"]
+        assert xs == list(enumerate(reference.x_path))
+        assert ys == list(enumerate(reference.y_path))
+        # Y_0 after the warm-up X_0..X_lag, and every on_y(s) right after on_x(s + lag)
+        assert [kind for kind, _, _ in events[: lag + 2]] == ["x"] * (lag + 1) + ["y"]
+        for i, (kind, s, _) in enumerate(events):
+            if kind == "y":
+                assert events[i - 1][:2] == ("x", s + lag)
+
+
 def test_budget_abort():
     kernel = ar1_kernel(Ar1Model(0.99, 1.0))
 

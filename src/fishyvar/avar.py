@@ -9,7 +9,8 @@ Two routes to the variance in the ergodic-average CLT:
   estimate the target variance from the pair, subsample R atoms per measure by
   selection probabilities, attach one independent fishy estimate per selected
   atom, and combine.  Every selection kind builds both measures from retained
-  runs, so memory per replicate is O(ell + tau).
+  runs, so memory per replicate is O(ell + tau); uniform selection offers the
+  atoms to a skip-ahead reservoir instead of drawing from probabilities.
 
 Selection probabilities proportional to the square root of the per-atom
 second-moment products minimize the correction term's conditional variance
@@ -31,7 +32,7 @@ from .diagnostics import bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
 from .simulate import DEFAULT_TRANSITION_BUDGET, map_replicates, run_coupled
-from .umcmc import SignedMeasure, _categorical, signed_measure
+from .umcmc import SignedMeasure, _categorical, reservoir_select, signed_measure
 
 __all__ = [
     "AvarEstimate",
@@ -106,7 +107,7 @@ def unbiased_target_variance(
     """
     if h.arity != 1:
         raise ValueError("unbiased_target_variance expects a scalar test function")
-    return float(_target_covariance(*_moments(pihat1, h), *_moments(pihat2, h))[0, 0])
+    return float(_target_covariance(_moments(pihat1, h), _moments(pihat2, h))[0, 0])
 
 
 def selection_probs(
@@ -179,12 +180,13 @@ def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple[np.ndarray, np.ndar
     return np.array(sum_h, ndmin=1), np.array(sum_hh, ndmin=2)
 
 
-def _target_covariance(mean_a, cross_a, mean_b, cross_b) -> np.ndarray:
+def _target_covariance(moments_a, moments_b) -> np.ndarray:
     """Unbiased stationary covariance of h from two independent measures.
 
     The mean of the integrals of h h^T minus the symmetrized outer product of
-    the integrals of h, from each measure's :func:`_moments`.
+    the integrals of h, from each measure's :func:`_moments` pair.
     """
+    (mean_a, cross_a), (mean_b, cross_b) = moments_a, moments_b
     prod = np.outer(mean_a, mean_b)
     return 0.5 * (cross_a + cross_b) - 0.5 * (prod + prod.T)
 
@@ -193,8 +195,7 @@ def _target_covariance(mean_a, cross_a, mean_b, cross_b) -> np.ndarray:
 class _MeasureSummary:
     """What the combination step needs from one signed measure."""
 
-    mean_h: np.ndarray  # integral of h, shape (d,)
-    raw_cross: np.ndarray  # integral of h h^T, shape (d, d)
+    moments: tuple[np.ndarray, np.ndarray]  # integrals of h and h h^T; see _moments
     selected_atoms: list
     selected_weights: np.ndarray
     selected_probs: np.ndarray
@@ -217,7 +218,9 @@ def _draw_summaries(
 
     Both measures are built before either selection, since each measure's
     optimal probabilities depend on the other's integral of h.  Zero-weight
-    atoms are pruned first, so no fishy estimate is spent on one.
+    atoms are pruned first, so no fishy estimate is spent on one.  Uniform
+    selection draws R independent uniform atoms through a reservoir, which
+    costs about R (1 + ln N) uniforms for N atoms.
     """
     measures = []
     for _ in range(2):
@@ -228,14 +231,16 @@ def _draw_summaries(
 
     moments = [_moments(pihat, h) for pihat in measures]
     summaries = []
-    for pihat, (mean_h, raw_cross), (other_mean_h, _) in zip(measures, moments, moments[::-1]):
+    for pihat, own, (other_mean_h, _) in zip(measures, moments, moments[::-1]):
         other_mean = float(other_mean_h[0])  # read by optimal selection, which needs arity 1
         probs = selection_probs(pihat, h, other_mean, second_moment_table, xi_kind)
-        idx = _categorical(probs.xi, R, rng)
+        if xi_kind == "uniform":
+            idx = reservoir_select(pihat.atoms, R, rng)
+        else:
+            idx = _categorical(probs.xi, R, rng)
         summaries.append(
             _MeasureSummary(
-                mean_h=mean_h,
-                raw_cross=raw_cross,
+                moments=own,
                 selected_atoms=[pihat.atoms[i] for i in idx],
                 selected_weights=pihat.weights[idx],
                 selected_probs=probs.xi[idx],
@@ -280,8 +285,7 @@ def suave_multivariate(
     summaries = _draw_summaries(
         bundle, h, k, ell, lag, R, xi_kind, rng, second_moment_table, budget
     )
-    a, b = summaries
-    vhat_pi = _target_covariance(a.mean_h, a.raw_cross, b.mean_h, b.raw_cross)
+    vhat_pi = _target_covariance(summaries[0].moments, summaries[1].moments)
 
     d = h.arity
     correction = np.zeros((d, d))
@@ -292,9 +296,9 @@ def suave_multivariate(
         ):
             fishy = estimate_fishy(bundle.kernel, h, z, y, rng, budget=budget)
             cost_fishy += fishy.cost_units
-            a = h.eval(z) - other.mean_h
+            centred = h.eval(z) - other.moments[0]
             g = fishy.value
-            correction += (w / prob) * 0.5 * (np.outer(a, g) + np.outer(g, a))
+            correction += (w / prob) * 0.5 * (np.outer(centred, g) + np.outer(g, centred))
     correction /= R
 
     value = -vhat_pi + correction

@@ -108,7 +108,7 @@ class ExperimentConfig:
             (self.lag >= 0, "estimator.L", "must be nonnegative"),
             (self.k <= self.ell, "estimator.ell", "must be at least k"),
             (self.R >= 1, "estimator.R", "must be at least 1"),
-            (self.xi in XI_KINDS, "estimator.xi", f"must be one of {XI_KINDS}"),
+            (self.xi in XI_KINDS, "estimator.xi", f"must be one of {', '.join(XI_KINDS)}"),
             (self.thin >= 1, "estimator.thin", "must be at least 1"),
             (self.t_steps >= 2, "estimator.t_steps", "must be at least 2"),
             (self.burn_in is None or self.burn_in >= 0, "estimator.burn_in", "must be nonnegative"),

@@ -14,6 +14,7 @@ giving max(L, ell + L - tau) + 2 (tau - L) units per estimator.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -219,7 +220,9 @@ class UniformReservoir:
     that takes the n-th item keeps it past item m with probability
     prod_{j=n+1}^{m} (1 - 1/j) = n/m, so its next count is floor(n/U) + 1 with
     U uniform on (0, 1].  Every slot takes the first item, and a stream of N
-    items costs about R (1 + ln N) uniforms instead of R N.
+    items costs about R (1 + ln N) uniforms instead of R N.  The slots wait in
+    a heap keyed by their next count; slots due at the same item draw their
+    uniforms in slot order.
     """
 
     def __init__(self, R: int, rng: np.random.Generator):
@@ -229,22 +232,22 @@ class UniformReservoir:
         self.items: list = [None] * R
         self.indices = np.full(R, -1, dtype=int)
         self.count = 0
-        # 1-based item count at which each slot is next replaced (exact
-        # integers in float64 up to 2**53, far beyond any reachable count)
-        self._next = np.ones(R)
-        self._due = 1.0
+        # (1-based item count at which the slot is next replaced, slot)
+        self._next = [(1, slot) for slot in range(R)]
+        self._due = 1
 
     def offer(self, item) -> None:
         self.count += 1
         if self.count < self._due:
             return
         n = self.count
-        slots = np.flatnonzero(self._next == n)
-        for slot in slots.tolist():
+        heap, random = self._next, self._rng.random
+        while heap[0][0] == n:
+            slot = heap[0][1]
             self.items[slot] = item
-        self.indices[slots] = n - 1
-        self._next[slots] = np.floor(n / (1.0 - self._rng.random(slots.size))) + 1.0
-        self._due = float(self._next.min())
+            self.indices[slot] = n - 1
+            heapq.heapreplace(heap, (int(n / (1.0 - random())) + 1, slot))
+        self._due = heap[0][0]
 
 
 def reservoir_select(

@@ -287,18 +287,24 @@ def suave_multivariate(
     )
     vhat_pi = _target_covariance(summaries[0].moments, summaries[1].moments)
 
+    # as in _moments: Python floats at arity 1, arrays and np.outer otherwise
     d = h.arity
-    correction = np.zeros((d, d))
+    hfn = h.evaluator
+    outer = operator.mul if d == 1 else np.outer
+    correction = 0.0
     cost_fishy = 0
     for summary, other in zip(summaries, summaries[::-1]):
+        other_mean = float(other.moments[0][0]) if d == 1 else other.moments[0]
         for z, w, prob in zip(
-            summary.selected_atoms, summary.selected_weights, summary.selected_probs
+            summary.selected_atoms,
+            summary.selected_weights.tolist(),
+            summary.selected_probs.tolist(),
         ):
             fishy = estimate_fishy(bundle.kernel, h, z, y, rng, budget=budget)
             cost_fishy += fishy.cost_units
-            centred = h.eval(z) - other.moments[0]
-            g = fishy.value
-            correction += (w / prob) * 0.5 * (np.outer(centred, g) + np.outer(g, centred))
+            centred = hfn(z) - other_mean
+            g = fishy.scalar if d == 1 else fishy.value
+            correction += (w / prob) * 0.5 * (outer(centred, g) + outer(g, centred))
     correction /= R
 
     value = -vhat_pi + correction

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -266,11 +267,15 @@ class FiniteChainModel:
 
     ``h_values`` is an (n_states, d) table of test-function values.  The chain
     must be irreducible and aperiodic; both are validated at construction.
+    ``_cumulative_rows`` holds each row's cumulative sums as a list of Python
+    floats, set to 1.0 from the row's last positive entry onward: a uniform
+    u < 1 then never selects a state past it, even when the float sum of the
+    row ends below 1.
     """
 
     transition_matrix: np.ndarray
     h_values: np.ndarray
-    _cumulative_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _cumulative_rows: tuple[list[float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.transition_matrix, dtype=float)
@@ -294,7 +299,10 @@ class FiniteChainModel:
             raise ValueError("chain is not aperiodic")
         object.__setattr__(self, "transition_matrix", p)
         object.__setattr__(self, "h_values", h)
-        object.__setattr__(self, "_cumulative_rows", np.cumsum(p, axis=1))
+        cum = np.cumsum(p, axis=1)
+        last_positive = n - 1 - np.argmax(p[:, ::-1] > 0.0, axis=1)
+        cum[np.arange(n) >= last_positive[:, None]] = 1.0
+        object.__setattr__(self, "_cumulative_rows", tuple(cum.tolist()))
 
     @property
     def n_states(self) -> int:
@@ -308,7 +316,7 @@ class FiniteChainModel:
         """Test function reading rows of the ``h_values`` table."""
         h = self.h_values
         if h.shape[1] == 1:
-            col = h[:, 0]
+            col = h[:, 0].tolist()
             return TestFunction(lambda s: col[s], arity=1, label="finite-table")
         return TestFunction(lambda s: h[s], arity=h.shape[1], label="finite-table")
 
@@ -329,4 +337,4 @@ def _power_is_positive(a: np.ndarray, k: int) -> bool:
 
 def finite_step(model: FiniteChainModel, s: int, rng: np.random.Generator) -> int:
     """Sample the next state from row ``s`` of the transition matrix."""
-    return int(model._cumulative_rows[s].searchsorted(rng.random(), side="right"))
+    return bisect_right(model._cumulative_rows[s], rng.random())

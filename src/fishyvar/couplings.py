@@ -15,6 +15,7 @@ All acceptance ratios are computed in log space; ties resolve as accept.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -307,7 +308,8 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
     """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN."""
     spec = spec or CouplingSpec("maximal-rejection")
     base = MarkovKernel(1, lambda s, rng: finite_step(model, s, rng), label="finite")
-    p = model.transition_matrix
+    # Python-float rows: bisect and scalar products beat numpy calls on short rows
+    p = model.transition_matrix.tolist()
     cum = model._cumulative_rows
     if spec.kind == "maximal-rejection":
         # The rejection maximal coupling specialized to pmf rows, with the
@@ -319,11 +321,11 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
                 return nxt, nxt
             row_x, row_y = p[x], p[y]
             cum_y = cum[y]
-            nxt = int(cum[x].searchsorted(rng.random(), side="right"))
+            nxt = bisect_right(cum[x], rng.random())
             if rng.random() * row_x[nxt] <= row_y[nxt]:
                 return nxt, nxt
             for _ in range(_cap):
-                other = int(cum_y.searchsorted(rng.random(), side="right"))
+                other = bisect_right(cum_y, rng.random())
                 if rng.random() * row_y[other] > row_x[other]:
                     return nxt, other
             raise MaximalCouplingCapError(
@@ -334,10 +336,7 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
 
         def step(x, y, rng):
             u = rng.random()
-            return (
-                int(cum[x].searchsorted(u, side="right")),
-                int(cum[y].searchsorted(u, side="right")),
-            )
+            return bisect_right(cum[x], u), bisect_right(cum[y], u)
 
     else:
         raise ValueError(f"coupling kind {spec.kind!r} not available for finite chains")

@@ -271,6 +271,24 @@ def test_suave_multivariate_d1_matches_scalar(np_rng):
     assert scalar.cost_total == matrix.cost_total
 
 
+@pytest.mark.parametrize("xi_kind", ["uniform", "proportional-to-abs-weight"])
+def test_suave_scalar_and_matrix_corrections_agree(np_rng, xi_kind):
+    # arity 1 accumulates the correction in floats, arity 2 with np.outer;
+    # (h, 2h) on the same stream must reproduce the scalar value's scalings
+    model = random_finite_chain(np_rng)
+    bundle = _finite_bundle(model)
+    h = model.test_function()
+    col = model.h_values[:, 0]
+    h2 = TestFunction(lambda s: (col[s], 2.0 * col[s]), 2, "h-and-2h")
+    for seed in range(13, 18):
+        v = suave(bundle, h, 3, 12, 2, 4, 0, xi_kind, RngStream(seed).generator()).value
+        matrix = suave_multivariate(
+            bundle, h2, 3, 12, 2, 4, 0, xi_kind, RngStream(seed).generator()
+        )
+        want = np.array([[v, 2.0 * v], [2.0 * v, 4.0 * v]])
+        assert np.max(np.abs(matrix.value - want)) <= 1e-12
+
+
 def test_suave_duplicated_coordinates_agree(np_rng):
     model = random_finite_chain(np_rng)
     bundle = _finite_bundle(model)

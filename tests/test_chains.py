@@ -19,6 +19,7 @@ from fishyvar.chains import (
     mrth_step,
     sample_eta,
 )
+from fishyvar.couplings import CouplingSpec, finite_kernel
 from fishyvar.rng import RngStream
 
 from conftest import batch_se, random_finite_chain
@@ -222,6 +223,44 @@ def test_finite_identity_rows_never_move():
     object.__setattr__(model, "_cumulative_rows", np.cumsum(np.eye(3), axis=1))
     rng = RngStream(11).generator()
     assert all(finite_step(model, s, rng) == s for s in (0, 1, 2) for _ in range(50))
+
+
+class _TopUniform:
+    """Generator stub whose every uniform is 1 - 2^-53, the largest ``random()`` returns."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def _tenths_chain(trailing_zero: bool) -> np.ndarray:
+    """Rows of ten 0.1 entries, whose float cumulative sum ends at 1 - 2^-53.
+
+    With ``trailing_zero`` an eleventh state is reached only from row 9, so
+    every other row ends in a zero-probability column.
+    """
+    if not trailing_zero:
+        return np.full((10, 10), 0.1)
+    p = np.zeros((11, 11))
+    p[:, :10] = 0.1
+    p[9, 9], p[9, 10] = 0.0, 0.1
+    return p
+
+
+@pytest.mark.parametrize("trailing_zero", [False, True])
+def test_finite_samplers_stay_in_support_when_row_sums_round_low(trailing_zero):
+    p = _tenths_chain(trailing_zero)
+    assert np.cumsum(p, axis=1)[0, -1] == 1.0 - 2.0**-53
+    model = FiniteChainModel(p, np.zeros(len(p)))
+    rng = _TopUniform()
+    n = len(p)
+    for s in range(n):
+        assert p[s, finite_step(model, s, rng)] > 0.0
+    for kind in ("maximal-rejection", "common-random-numbers"):
+        step = finite_kernel(model, CouplingSpec(kind)).coupled_step
+        for x in range(n):
+            for y in range(n):
+                nx, ny = step(x, y, rng)
+                assert p[x, nx] > 0.0 and p[y, ny] > 0.0
 
 
 def test_finite_empirical_frequencies_match_row(np_rng):

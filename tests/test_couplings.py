@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from fishyvar.chains import Ar1Model, CauchyNormalModel, gibbs_step, mrth_step
+from fishyvar.chains import (
+    Ar1Model,
+    CauchyNormalModel,
+    FiniteChainModel,
+    finite_step,
+    gibbs_step,
+    mrth_step,
+)
 from fishyvar.couplings import (
     CouplingSpec,
     MaximalCouplingCapError,
@@ -377,6 +384,67 @@ def test_finite_marginals_match_base_kernel(np_rng):
                 direct[kernel.base.step(s0, rng)] += 1
             table = np.vstack([coupled_counts[idx], direct])
             assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def _sparse_finite_chain(rng: np.random.Generator, n_states: int) -> FiniteChainModel:
+    """Random chain with zero entries; the diagonal and a cycle stay positive."""
+    p = rng.uniform(0.05, 1.0, size=(n_states, n_states))
+    p *= rng.random((n_states, n_states)) < 0.5
+    idx = np.arange(n_states)
+    p[idx, idx] += 0.05
+    p[idx, (idx + 1) % n_states] += 0.05
+    p /= p.sum(axis=1, keepdims=True)
+    return FiniteChainModel(p, np.zeros(n_states))
+
+
+def _reference_finite_steps(p: np.ndarray):
+    """Array-based single and coupled finite steps: np.searchsorted on cumulative rows."""
+    cum = np.cumsum(p, axis=1)
+
+    def single(s, rng):
+        return int(np.searchsorted(cum[s], rng.random(), side="right"))
+
+    def maximal(x, y, rng):
+        if x == y:
+            nxt = single(x, rng)
+            return nxt, nxt
+        nxt = single(x, rng)
+        if rng.random() * p[x, nxt] <= p[y, nxt]:
+            return nxt, nxt
+        while True:
+            other = single(y, rng)
+            if rng.random() * p[y, other] > p[x, other]:
+                return nxt, other
+
+    def crn(x, y, rng):
+        u = rng.random()
+        return (
+            int(np.searchsorted(cum[x], u, side="right")),
+            int(np.searchsorted(cum[y], u, side="right")),
+        )
+
+    return single, maximal, crn
+
+
+@pytest.mark.parametrize("n_states", [3, 4, 7])
+def test_finite_draw_sequence_matches_array_reference(np_rng, n_states):
+    models = [random_finite_chain(np_rng, n_states), _sparse_finite_chain(np_rng, n_states)]
+    assert np.any(models[1].transition_matrix == 0.0)
+    n = 10**4
+    for seed, model in enumerate(models, start=31):
+        single, maximal, crn = _reference_finite_steps(model.transition_matrix)
+        pairs = np_rng.integers(n_states, size=(n, 2)).tolist()
+        rng, rng_ref = RngStream(seed).generator(), RngStream(seed).generator()
+        got = [finite_step(model, x, rng) for x, _ in pairs]
+        want = [single(x, rng_ref) for x, _ in pairs]
+        assert got == want
+        for kind, reference in (("maximal-rejection", maximal), ("common-random-numbers", crn)):
+            step = finite_kernel(model, CouplingSpec(kind)).coupled_step
+            got = [step(x, y, rng) for x, y in pairs]
+            want = [reference(x, y, rng_ref) for x, y in pairs]
+            assert got == want
+        # both generators consumed the same number of draws
+        assert rng.random() == rng_ref.random()
 
 
 def test_coupling_spec_validation(np_rng):

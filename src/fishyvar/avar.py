@@ -31,7 +31,7 @@ from .chains import ModelBundle, State, TestFunction
 from .diagnostics import bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
-from .simulate import DEFAULT_TRANSITION_BUDGET, map_replicates, run_coupled
+from .simulate import map_replicates, run_coupled
 from .umcmc import SignedMeasure, _categorical, reservoir_select, signed_measure
 
 __all__ = [
@@ -212,7 +212,6 @@ def _draw_summaries(
     xi_kind: str,
     rng: np.random.Generator,
     second_moment_table,
-    budget: int,
 ) -> list[_MeasureSummary]:
     """Draw SUAVE's two independent signed measures and R atoms from each.
 
@@ -226,7 +225,7 @@ def _draw_summaries(
     for _ in range(2):
         x0 = bundle.init_sampler(rng)
         y0 = bundle.init_sampler(rng)
-        run = run_coupled(bundle.kernel, x0, y0, lag, ell, rng, budget=budget)
+        run = run_coupled(bundle.kernel, x0, y0, lag, ell, rng)
         measures.append(signed_measure(run, k, ell).pruned())
 
     moments = [_moments(pihat, h) for pihat in measures]
@@ -261,7 +260,6 @@ def suave_multivariate(
     xi_kind: str = "uniform",
     rng: np.random.Generator | RngStream | None = None,
     second_moment_table: FishyProfile | Callable[[State], float] | None = None,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> AvarEstimate:
     """One subsampled unbiased estimate of the d x d asymptotic covariance.
 
@@ -282,9 +280,7 @@ def suave_multivariate(
     if xi_kind == "optimal" and h.arity != 1:
         raise ValueError("optimal selection probabilities require a scalar test function")
     rng = as_generator(rng)
-    summaries = _draw_summaries(
-        bundle, h, k, ell, lag, R, xi_kind, rng, second_moment_table, budget
-    )
+    summaries = _draw_summaries(bundle, h, k, ell, lag, R, xi_kind, rng, second_moment_table)
     vhat_pi = _target_covariance(summaries[0].moments, summaries[1].moments)
 
     # as in _moments: Python floats at arity 1, arrays and np.outer otherwise
@@ -300,7 +296,7 @@ def suave_multivariate(
             summary.selected_weights.tolist(),
             summary.selected_probs.tolist(),
         ):
-            fishy = estimate_fishy(bundle.kernel, h, z, y, rng, budget=budget)
+            fishy = estimate_fishy(bundle.kernel, h, z, y, rng)
             cost_fishy += fishy.cost_units
             centred = hfn(z) - other_mean
             g = fishy.scalar if d == 1 else fishy.value
@@ -330,7 +326,6 @@ def suave(
     xi_kind: str = "uniform",
     rng: np.random.Generator | RngStream | None = None,
     second_moment_table: FishyProfile | Callable[[State], float] | None = None,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> AvarEstimate:
     """One subsampled unbiased estimate of the scalar asymptotic variance.
 
@@ -350,7 +345,6 @@ def suave(
         xi_kind=xi_kind,
         rng=rng,
         second_moment_table=second_moment_table,
-        budget=budget,
     )
 
 
@@ -367,7 +361,6 @@ def sample_suave(
     xi_kind: str = "uniform",
     second_moment_table: FishyProfile | Callable[[State], float] | None = None,
     n_workers: int = 1,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> list[AvarEstimate]:
     """Independent SUAVE replicates, one stream per replicate."""
 
@@ -383,7 +376,6 @@ def sample_suave(
             xi_kind=xi_kind,
             rng=child.generator(),
             second_moment_table=second_moment_table,
-            budget=budget,
         )
 
     return map_replicates(one, stream.children(n_reps), n_workers)
@@ -413,7 +405,6 @@ def epave(
     thin: int = 1,
     rng: np.random.Generator | RngStream | None = None,
     burn_in: int = 0,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> EpaveEstimate:
     """Ergodic estimate of the asymptotic variance from one long chain.
 
@@ -449,7 +440,7 @@ def epave(
         sum_h += hv
         sum_h2 += hv * hv
         if s % thin == 0:
-            g = estimate_fishy(kernel, h, x, y, rng, budget=budget)
+            g = estimate_fishy(kernel, h, x, y, rng)
             cost += g.cost_units
             gv = g.value[0]
             sum_g += gv

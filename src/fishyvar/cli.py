@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +51,16 @@ __all__ = ["main", "run_experiment"]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("config", "command") and value is not None
-    }
-    model_keys = ("phi", "sigma", "prior_variance", "mrth_proposal_sd", "transition_csv")
-    model_params = {key: overrides.pop(key) for key in model_keys if key in overrides}
+    args = vars(_build_parser().parse_args(argv))
+    config = args.pop("config")
+    # a flag whose dest names no config field sets a model parameter
+    settings = {f.name for f in fields(ExperimentConfig)}
+    overrides = {key: value for key, value in args.items() if value is not None}
+    model_params = {key: overrides.pop(key) for key in list(overrides) if key not in settings}
     if model_params:
         overrides["model_params"] = model_params
     try:
-        cfg = load_config(args.config, overrides)
-        cfg.command = args.command
-        run_experiment(cfg)
+        run_experiment(load_config(config, overrides))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -130,7 +126,10 @@ def _run_tvbound(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def _run_tailfit(cfg: ExperimentConfig, out_dir: Path) -> dict:
     lag = max(cfg.lag, 1)
     samples = _meetings(cfg, lag)
-    fit = tail_fit([s.tau for s in samples], lag, cfg.t_min)
+    try:
+        fit = tail_fit([s.tau for s in samples], lag, cfg.t_min)
+    except ValueError as exc:
+        raise ConfigError(f"config keys 'reps' and 't_min' leave too few points: {exc}") from exc
     summary = {
         "command": "tailfit",
         "slope": fit.slope,
@@ -162,8 +161,7 @@ def _run_pilot(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def _run_fishy(cfg: ExperimentConfig, out_dir: Path) -> dict:
     model = build_model(cfg)
     bundle, h = bundle_for(cfg, model)
-    if h.arity != 1:
-        raise ConfigError("the fishy profile expects a scalar test function")
+    _require_scalar(h)
     stream = RngStream(cfg.seed)
     grid, anchor = _state_grid(cfg, model), _state_value(cfg, cfg.y)
     profile = fishy_profile(bundle.kernel, h, grid, anchor, cfg.reps, stream, cfg.workers)
@@ -208,6 +206,7 @@ def _run_umcmc(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def _run_epave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     bundle, h = build_bundle(cfg)
+    _require_scalar(h)
     stream = RngStream(cfg.seed)
     burn_in = cfg.burn_in
     if burn_in is None:
@@ -244,6 +243,7 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     anchor = _state_value(cfg, cfg.y)
     table = None
     if cfg.xi == "optimal":
+        _require_scalar(h)
         table = fishy_profile(
             bundle.kernel, h, _state_grid(cfg, model), anchor, max(cfg.reps // 10, 100),
             stream.child(MAX_REPS),
@@ -412,6 +412,11 @@ def _replacing(path: Path, newline: str | None = None):
 def _require_lag(cfg: ExperimentConfig) -> None:
     if cfg.lag < 1:
         raise ConfigError("config key 'estimator.L' must be at least 1 for this command")
+
+
+def _require_scalar(h) -> None:
+    if h.arity != 1:
+        raise ConfigError("config key 'test_function' must name a scalar test function")
 
 
 def _state_value(cfg: ExperimentConfig, value: float):

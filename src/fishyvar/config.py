@@ -8,11 +8,12 @@ offending key.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -70,38 +71,50 @@ class ConfigError(ValueError):
     """A configuration value failed validation; the message names the key."""
 
 
+def _key(yaml_key: str, default=None, *, factory=None):
+    """A config field read from ``yaml_key`` (``section`` or ``section.name``)."""
+    if factory is not None:
+        return field(default_factory=factory, metadata={"key": yaml_key})
+    return field(default=default, metadata={"key": yaml_key})
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated settings for one experiment run."""
+    """Validated settings for one experiment run.
+
+    Each field but ``command`` names its YAML key; its annotation gives the
+    type a value must have, and ``| None`` lets it be unset.
+    """
 
     command: str = "suave"
-    model: str = "ar1"
-    model_params: dict = field(default_factory=dict)
-    coupling_kind: str | None = None
-    test_function: str = "identity"
-    k: int = 100
-    lag: int = 100
-    ell: int = 500
-    R: int = 10
-    y: float = 0.0
-    xi: str = "uniform"
-    thin: int = 1
-    t_steps: int = 10**4
-    burn_in: int | None = None
-    reps: int = 100
-    seed: int = 0
-    workers: int = 1
-    grid: list[float] = field(default_factory=lambda: [-3, -2, -1, 0, 1, 2, 3])
-    t_max: int = 200
-    t_min: float | None = None
-    n_max: int = 50
-    quantile: float = 0.99
-    reference_avar: float | None = None
-    output_format: str = "csv"
-    output_dir: str = "."
+    model: str = _key("model.name", "ar1")
+    model_params: dict = _key("model", factory=dict)  # the section's other keys
+    coupling_kind: str | None = _key("coupling.kind")
+    test_function: str = _key("test_function", "identity")
+    k: int = _key("estimator.k", 100)
+    lag: int = _key("estimator.L", 100)
+    ell: int = _key("estimator.ell", 500)
+    R: int = _key("estimator.R", 10)
+    y: float = _key("estimator.y", 0.0)
+    xi: str = _key("estimator.xi", "uniform")
+    thin: int = _key("estimator.thin", 1)
+    t_steps: int = _key("estimator.t_steps", 10**4)
+    burn_in: int | None = _key("estimator.burn_in")
+    reps: int = _key("reps", 100)
+    seed: int = _key("seed", 0)
+    workers: int = _key("workers", 1)
+    grid: list[float] = _key("grid", factory=lambda: [-3, -2, -1, 0, 1, 2, 3])
+    t_max: int = _key("t_max", 200)
+    t_min: float | None = _key("t_min")
+    n_max: int = _key("n_max", 50)
+    quantile: float = _key("quantile", 0.99)
+    reference_avar: float | None = _key("reference_avar")
+    output_format: str = _key("output.format", "csv")
+    output_dir: str = _key("output.dir", ".")
 
     def validate(self) -> None:
         self._check_types()
+        ref = self.reference_avar
         checks = [
             (self.model in MODEL_NAMES, "model", f"must be one of {MODEL_NAMES}"),
             (self.k >= 0, "estimator.k", "must be nonnegative"),
@@ -119,20 +132,12 @@ class ExperimentConfig:
             (self.t_max >= 0, "t_max", "must be nonnegative"),
             (self.n_max >= 0, "n_max", "must be nonnegative"),
             (0.0 < self.quantile < 1.0, "quantile", "must lie in (0, 1)"),
+            (ref is None or 0 < ref < math.inf, "reference_avar", "must be positive and finite"),
             (self.output_format in ("csv", "json"), "output.format", "must be csv or json"),
         ]
         for ok, key, message in checks:
             if not ok:
                 raise ConfigError(f"config key {key!r} {message}")
-        if self.reference_avar is not None:
-            # parsed like the --reference-avar flag, so YAML's string "1e4" works
-            try:
-                ref = float(self.reference_avar)
-            except (TypeError, ValueError):
-                ref = math.nan
-            if isinstance(self.reference_avar, bool) or not (math.isfinite(ref) and ref > 0):
-                raise ConfigError("config key 'reference_avar' must be a positive finite number")
-            self.reference_avar = ref
         # models whose states are indices carry their own test-function table
         if self.test_function not in TEST_FUNCTIONS and MODELS[self.model].state is not int:
             raise ConfigError(
@@ -143,70 +148,44 @@ class ExperimentConfig:
     def _check_types(self) -> None:
         # YAML and the environment hand over values of any type; catch them
         # here, before a comparison raises a TypeError with no key in it
-        for fields, is_kind, kind in (
-            (_INTEGER_FIELDS, _is_integer, "an integer"),
-            (_REAL_FIELDS, _is_real, "a number"),
-            (_STRING_FIELDS, lambda v: isinstance(v, str), "a string"),
-            (("model_params",), lambda v: isinstance(v, dict), "a mapping"),
-        ):
-            for attr in fields:
-                value = getattr(self, attr)
-                if not (is_kind(value) or value is None and attr in _OPTIONAL_FIELDS):
-                    raise ConfigError(
-                        f"config key {_key_name(attr)!r} must be {kind}, got {value!r}"
-                    )
-        grid = self.grid
-        if not (isinstance(grid, (list, tuple, np.ndarray)) and all(map(_is_real, grid))):
-            raise ConfigError(f"config key 'grid' must be a list of numbers, got {grid!r}")
+        for f in _SETTINGS:
+            kind = f.type.removesuffix(" | None")
+            value = getattr(self, f.name)
+            if value is None and kind != f.type:
+                continue
+            if kind == "float":
+                value = _number(value)
+            elif kind == "list[float]" and isinstance(value, list):
+                value = [_number(v) for v in value]
+            is_kind, what = _KINDS[kind]
+            if not is_kind(value):
+                raise ConfigError(f"config key {f.metadata['key']!r} must be {what}, got {value!r}")
+            setattr(self, f.name, value)
 
 
-_INTEGER_FIELDS = (
-    "k", "lag", "ell", "R", "thin", "t_steps", "burn_in", "reps", "seed", "workers", "t_max",
-    "n_max",
-)
-_REAL_FIELDS = ("y", "t_min", "quantile")
-_STRING_FIELDS = ("model", "test_function", "xi", "output_format", "output_dir")
-_OPTIONAL_FIELDS = ("burn_in", "t_min")
+_SETTINGS = tuple(f for f in fields(ExperimentConfig) if "key" in f.metadata)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _number(value):
+    # PyYAML reads an exponent with no dot, such as 1e-2, as a string
+    with contextlib.suppress(ValueError):
+        return float(value) if isinstance(value, str) else value
+    return value
 
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _key_name(attr: str) -> str:
-    section, key = _CONFIG_KEYS[attr]
-    return section if key is None else f"{section}.{key}"
-
-
-_CONFIG_KEYS = {
-    "model": ("model", "name"),
-    "model_params": ("model", None),
-    "coupling_kind": ("coupling", "kind"),
-    "test_function": ("test_function", None),
-    "k": ("estimator", "k"),
-    "lag": ("estimator", "L"),
-    "ell": ("estimator", "ell"),
-    "R": ("estimator", "R"),
-    "y": ("estimator", "y"),
-    "xi": ("estimator", "xi"),
-    "thin": ("estimator", "thin"),
-    "t_steps": ("estimator", "t_steps"),
-    "burn_in": ("estimator", "burn_in"),
-    "reps": ("reps", None),
-    "seed": ("seed", None),
-    "workers": ("workers", None),
-    "grid": ("grid", None),
-    "t_max": ("t_max", None),
-    "t_min": ("t_min", None),
-    "n_max": ("n_max", None),
-    "quantile": ("quantile", None),
-    "reference_avar": ("reference_avar", None),
-    "output_format": ("output", "format"),
-    "output_dir": ("output", "dir"),
+_KINDS = {  # field annotation -> (accepts a value, what the error asks for)
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_is_real, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "a mapping"),
+    "list[float]": (
+        lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_real, v)),
+        "a list of numbers",
+    ),
 }
 
 
@@ -225,12 +204,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"config file {path} must hold a mapping at top level")
 
     cfg = ExperimentConfig()
-    for attr, (section, key) in _CONFIG_KEYS.items():
-        value = _dig(raw, section, key)
-        if attr == "model_params" and isinstance(value, dict):
+    for f in _SETTINGS:
+        value = _dig(raw, f.metadata["key"])
+        if f.name == "model_params" and isinstance(value, dict):
             value = {k: v for k, v in value.items() if k != "name"}
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, f.name, value)
     env_seed = os.environ.get("FISHYVAR_SEED")
     if "seed" not in raw and env_seed:
         try:
@@ -250,13 +229,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return cfg
 
 
-def _dig(raw: dict, section: str, key: str | None):
+def _dig(raw: dict, key: str):
+    section, _, name = key.partition(".")
     node = raw.get(section)
-    if key is None:
-        return node
-    if isinstance(node, dict):
-        return node.get(key)
-    return None
+    if name:
+        return node.get(name) if isinstance(node, dict) else None
+    return node
 
 
 def _read_transition_csv(path: str | Path) -> np.ndarray:

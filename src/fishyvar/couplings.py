@@ -315,7 +315,7 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
         # The rejection maximal coupling specialized to pmf rows, with the
         # same draw sequence and accept rule as `maximal_coupling` (the ratio
         # test w <= q/p becomes w * p <= q, exact for probabilities).
-        def step(x, y, rng, _cap=DEFAULT_REJECTION_CAP):
+        def step(x, y, rng):
             if x == y:
                 nxt = finite_step(model, x, rng)
                 return nxt, nxt
@@ -324,12 +324,12 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
             nxt = bisect_right(cum[x], rng.random())
             if rng.random() * row_x[nxt] <= row_y[nxt]:
                 return nxt, nxt
-            for _ in range(_cap):
+            for _ in range(DEFAULT_REJECTION_CAP):
                 other = bisect_right(cum_y, rng.random())
                 if rng.random() * row_y[other] > row_x[other]:
                     return nxt, other
             raise MaximalCouplingCapError(
-                f"maximal coupling rejection loop exceeded {_cap} iterations"
+                f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
             )
 
     elif spec.kind == "common-random-numbers":

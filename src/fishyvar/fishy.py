@@ -86,7 +86,6 @@ def estimate_fishy_randomized(
     x: State,
     nu_sampler: Callable[[np.random.Generator], State],
     rng: np.random.Generator | RngStream,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> FishyEstimate:
     """Fishy estimate with a randomized anchor Y_0 drawn from ``nu_sampler``.
 
@@ -94,7 +93,7 @@ def estimate_fishy_randomized(
     """
     rng = as_generator(rng)
     y0 = nu_sampler(rng)
-    return estimate_fishy(kernel, h, x, y0, rng, budget=budget)
+    return estimate_fishy(kernel, h, x, y0, rng)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,6 @@ def fishy_profile(
     n_reps: int,
     stream: RngStream,
     n_workers: int = 1,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> FishyProfile:
     """Replicated fishy estimates at each grid point (scalar h).
 
@@ -146,7 +144,7 @@ def fishy_profile(
         costs = np.empty(n_reps)
         gen = child.generator()
         for r in range(n_reps):
-            est = estimate_fishy(kernel, h, point, y, gen, budget=budget)
+            est = estimate_fishy(kernel, h, point, y, gen)
             values[r] = est.value[0]
             costs[r] = est.cost_units
         return (

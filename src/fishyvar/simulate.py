@@ -197,7 +197,6 @@ def sample_meetings(
     n_reps: int,
     stream: RngStream,
     n_workers: int = 1,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> list[MeetingSample]:
     """Replicated meeting times, one independent stream per replicate.
 
@@ -211,7 +210,7 @@ def sample_meetings(
         rng = child.generator()
         x0 = init_sampler(rng)
         y0 = init_sampler(rng)
-        run = run_coupled(kernel, x0, y0, lag, 0, rng, keep_paths=False, budget=budget)
+        run = run_coupled(kernel, x0, y0, lag, 0, rng, keep_paths=False)
         return MeetingSample(run.meeting_time, lag, x0, y0, run.cost_units, child.stream_id)
 
     return map_replicates(one, stream.children(n_reps), n_workers)

@@ -22,12 +22,7 @@ import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction
 from .rng import RngStream, as_generator
-from .simulate import (
-    DEFAULT_TRANSITION_BUDGET,
-    CoupledRun,
-    map_replicates,
-    run_coupled,
-)
+from .simulate import CoupledRun, map_replicates, run_coupled
 
 __all__ = [
     "SignedMeasure",
@@ -277,7 +272,6 @@ def sample_unbiased(
     n_reps: int,
     stream: RngStream,
     n_workers: int = 1,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> list[UnbiasedEstimate]:
     """Independent replicates of the time-averaged estimator of pi(h)."""
 
@@ -285,7 +279,7 @@ def sample_unbiased(
         rng = child.generator()
         x0 = init_sampler(rng)
         y0 = init_sampler(rng)
-        run = run_coupled(kernel, x0, y0, lag, ell, rng, budget=budget)
+        run = run_coupled(kernel, x0, y0, lag, ell, rng)
         return h_kl_estimator(run, h, k, ell)
 
     return map_replicates(one, stream.children(n_reps), n_workers)

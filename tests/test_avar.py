@@ -337,7 +337,7 @@ def test_suave_uniform_never_selects_zero_weight_atoms(np_rng):
     zero_atoms = 0
     for seed in range(300):
         summaries = avar._draw_summaries(
-            bundle, h, k, ell, lag, R, "uniform", RngStream(13, seed).generator(), None, 10**6
+            bundle, h, k, ell, lag, R, "uniform", RngStream(13, seed).generator(), None
         )
         for summary in summaries:
             assert len(summary.selected_weights) == R

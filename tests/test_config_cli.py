@@ -65,6 +65,67 @@ output:
     assert cfg.model_params == {"phi": 0.9, "sigma": 2.0}
 
 
+def test_every_documented_key_reaches_its_field(tmp_path):
+    cfg_file = tmp_path / "experiment.yaml"
+    cfg_file.write_text(
+        """
+model:
+  name: cauchy-gibbs
+  prior_variance: 50.0
+coupling:
+  kind: common-random-numbers
+test_function: square
+estimator:
+  k: 20
+  L: 5
+  ell: 60
+  R: 3
+  y: 0.5
+  xi: optimal
+  thin: 2
+  t_steps: 50
+  burn_in: 7
+reps: 9
+seed: 11
+workers: 2
+grid: [-1.5, 1.5]
+t_max: 40
+t_min: 2.5
+n_max: 12
+quantile: 0.9
+reference_avar: 3.5
+output:
+  format: json
+  dir: elsewhere
+"""
+    )
+    cfg = load_config(cfg_file)
+    assert cfg.model == "cauchy-gibbs"
+    assert cfg.model_params == {"prior_variance": 50.0}
+    assert cfg.coupling_kind == "common-random-numbers"
+    assert cfg.test_function == "square"
+    assert (cfg.k, cfg.lag, cfg.ell, cfg.R, cfg.y, cfg.xi) == (20, 5, 60, 3, 0.5, "optimal")
+    assert (cfg.thin, cfg.t_steps, cfg.burn_in) == (2, 50, 7)
+    assert (cfg.reps, cfg.seed, cfg.workers, cfg.grid) == (9, 11, 2, [-1.5, 1.5])
+    assert (cfg.t_max, cfg.t_min, cfg.n_max, cfg.quantile) == (40, 2.5, 12, 0.9)
+    assert cfg.reference_avar == 3.5
+    assert (cfg.output_format, cfg.output_dir) == ("json", "elsewhere")
+
+
+def test_number_keys_accept_exponents_without_a_dot(tmp_path):
+    # PyYAML reads 1e-2 as a string; every number key parses it as a float
+    cfg_file = tmp_path / "experiment.yaml"
+    cfg_file.write_text(
+        "quantile: 1e-2\nestimator:\n  y: 2e0\nt_min: 3e0\nreference_avar: 1e4\n"
+        "grid: [-1e0, 0, 5e-1]\n"
+    )
+    cfg = load_config(cfg_file)
+    values = (cfg.quantile, cfg.y, cfg.t_min, cfg.reference_avar)
+    assert values == (0.01, 2.0, 3.0, 1e4)
+    assert all(type(v) is float for v in values)
+    assert cfg.grid == [-1.0, 0, 0.5]
+
+
 def test_config_validation_names_keys():
     with pytest.raises(ConfigError, match="estimator.R"):
         load_config(None, {"R": 0})
@@ -358,6 +419,9 @@ def test_seed_outside_the_key_word_exits_2(tmp_path, monkeypatch, capsys, seed):
         (["theory-check", "--phi", "0.99"], "model.phi"),
         (["meetings", "--coupling", "bogus"], "coupling"),
         (["oracle", "--model", "finite", "--transition-csv", "{missing}"], "model.transition_csv"),
+        (["epave", "--test-function", "identity-and-square"], "test_function"),
+        (["suave", "--xi", "optimal", "--test-function", "identity-and-square"], "test_function"),
+        (["tailfit", "--phi", "0.5"], "reps"),
     ],
 )
 def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from fishyvar import couplings
 from fishyvar.chains import (
     Ar1Model,
     CauchyNormalModel,
@@ -106,6 +107,27 @@ def test_maximal_coupling_rejection_cap_raises():
 
     with pytest.raises(MaximalCouplingCapError):
         maximal_coupling(log_p, sample_p, log_q, sample_q, _AlwaysReject(), max_rejections=50)
+
+
+def test_finite_maximal_rejection_cap_raises(monkeypatch):
+    # the cap is read when the step runs, so a lowered module constant applies
+    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 50)
+    model = FiniteChainModel(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.0, 1.0]))
+    step = finite_kernel(model, CouplingSpec("maximal-rejection")).coupled_step
+
+    class _AlwaysReject:
+        calls = 0
+
+        def random(self):
+            # X picks state 0; 1.0 fails the overlap test 1.0 * 0.7 <= 0.2,
+            # and 0.0 then rejects every residual proposal for Y
+            self.calls += 1
+            return 1.0 if self.calls == 2 else 0.0
+
+    rng = _AlwaysReject()
+    with pytest.raises(MaximalCouplingCapError, match="50 iterations"):
+        step(0, 1, rng)
+    assert rng.calls == 2 + 2 * 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from fishyvar.chains import Ar1Model, TestFunction
+from fishyvar.chains import Ar1Model, CoupledKernel, TestFunction
 from fishyvar.couplings import ar1_kernel, finite_kernel
 from fishyvar.fishy import estimate_fishy, estimate_fishy_randomized, fishy_profile
 from fishyvar.oracle import ar1_fishy_exact, solve_finite
 from fishyvar.rng import RngStream
-from fishyvar.simulate import run_coupled
+from fishyvar.simulate import TransitionBudgetError, run_coupled
 
 from conftest import mc_mean_se, random_finite_chain
 
@@ -18,6 +18,19 @@ def test_equal_points_give_zero_at_zero_cost():
     est = estimate_fishy(kernel, IDENTITY, 1.0, 1.0, RngStream(0).generator())
     assert est.value[0] == 0.0
     assert est.tau == 0 and est.cost_units == 0
+
+
+def test_budget_abort():
+    kernel = ar1_kernel(Ar1Model(0.99, 1.0))
+
+    def never_meet(x, y, rng):
+        nxt = kernel.base.step(x, rng)
+        return nxt, nxt + 1.0
+
+    broken = CoupledKernel(kernel.base, never_meet)
+    with pytest.raises(TransitionBudgetError) as info:
+        estimate_fishy(broken, IDENTITY, 0.0, 5.0, RngStream(5).generator(), budget=100)
+    assert info.value.transitions == 100
 
 
 def test_constant_test_function_gives_zero():

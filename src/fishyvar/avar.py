@@ -219,7 +219,8 @@ def _draw_summaries(
     optimal probabilities depend on the other's integral of h.  Zero-weight
     atoms are pruned first, so no fishy estimate is spent on one.  Uniform
     selection draws R independent uniform atoms through a reservoir, which
-    costs about R (1 + ln N) uniforms for N atoms.
+    costs about R (1 + ln N) uniforms for N atoms, and gives each the
+    probability 1/N without building the vector of them.
     """
     measures = []
     for _ in range(2):
@@ -231,18 +232,20 @@ def _draw_summaries(
     moments = [_moments(pihat, h) for pihat in measures]
     summaries = []
     for pihat, own, (other_mean_h, _) in zip(measures, moments, moments[::-1]):
-        other_mean = float(other_mean_h[0])  # read by optimal selection, which needs arity 1
-        probs = selection_probs(pihat, h, other_mean, second_moment_table, xi_kind)
         if xi_kind == "uniform":
             idx = reservoir_select(pihat.atoms, R, rng)
+            selected_probs = np.full(len(idx), 1.0 / pihat.n_atoms)
         else:
-            idx = _categorical(probs.xi, R, rng)
+            other_mean = float(other_mean_h[0])  # read by optimal selection, which needs arity 1
+            xi = selection_probs(pihat, h, other_mean, second_moment_table, xi_kind).xi
+            idx = _categorical(xi, R, rng)
+            selected_probs = xi[idx]
         summaries.append(
             _MeasureSummary(
                 moments=own,
                 selected_atoms=[pihat.atoms[i] for i in idx],
                 selected_weights=pihat.weights[idx],
-                selected_probs=probs.xi[idx],
+                selected_probs=selected_probs,
                 cost_units=pihat.cost_units,
             )
         )
@@ -493,8 +496,18 @@ def inefficiency(
     variance = float(values.var(ddof=1))
     mean_cost = float(costs.mean())
 
+    # Each resample's variance comes from its sums of x and x^2, one gather
+    # and two products per block.  Centring on the mean first keeps that
+    # one-pass formula accurate when the spread is small against the mean;
+    # the floor at 0 catches rounding on resamples of one repeated value.
+    centred = values - values.mean()
+    ones = np.ones(n)
+
     def variance_and_cost(idx):
-        return np.stack([values[idx].var(axis=1, ddof=1), costs[idx].mean(axis=1)], axis=1)
+        x = centred[idx]
+        sums = x @ ones
+        var = np.maximum((np.einsum("ij,ij->i", x, x) - sums * sums / n) / (n - 1), 0.0)
+        return np.stack([var, costs[idx] @ ones / n], axis=1)
 
     var_bs, cost_bs = bootstrap_resample(n, n_resamples, rng, variance_and_cost).T
     prod_bs = var_bs * cost_bs

@@ -66,6 +66,9 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
 # reserved for the EPAVE burn-in pilot and the optimal-xi fishy profile.
 MAX_REPS = 2**18
 
+# commands whose summary takes a sample variance over the replicates
+_VARIANCE_COMMANDS = ("fishy", "umcmc", "suave", "epave")
+
 
 class ConfigError(ValueError):
     """A configuration value failed validation; the message names the key."""
@@ -126,6 +129,11 @@ class ExperimentConfig:
             (self.t_steps >= 2, "estimator.t_steps", "must be at least 2"),
             (self.burn_in is None or self.burn_in >= 0, "estimator.burn_in", "must be nonnegative"),
             (1 <= self.reps <= MAX_REPS, "reps", f"must lie in [1, {MAX_REPS}]"),
+            (
+                self.reps >= 2 or self.command not in _VARIANCE_COMMANDS,
+                "reps",
+                f"must be at least 2 for {self.command}",
+            ),
             (0 <= self.seed < 2**64, "seed", "must be an integer in [0, 2^64)"),
             (self.workers >= 1, "workers", "must be at least 1"),
             (len(self.grid) >= 1, "grid", "must hold at least one point"),

@@ -138,7 +138,10 @@ def bootstrap_ci(
     values = np.asarray(list(values), dtype=float)
     if values.size < 2:
         raise ValueError("bootstrap_ci requires at least 2 values")
-    means = bootstrap_resample(values.size, n_resamples, rng, lambda idx: values[idx].mean(axis=1))
+    n = values.size
+    ones = np.ones(n)
+    # a matrix-vector product sums each row faster than mean(axis=1)
+    means = bootstrap_resample(n, n_resamples, rng, lambda idx: values[idx] @ ones / n)
     return percentile_interval(means, level)
 
 

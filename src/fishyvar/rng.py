@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["RngStream", "as_generator"]
 
@@ -47,6 +48,22 @@ _F64 = np.float64
 _Generator = np.random.Generator
 _NORMAL, _UNIFORM = 0, 1
 _BULK_DRAWS = (_Generator.standard_normal, _Generator.random)
+
+
+class _StreamKey(ISeedSequence):
+    """The two Philox key words of a stream, passed to Philox as its seed.
+
+    ``Philox(key=...)`` also builds an OS-entropy ``SeedSequence`` and
+    discards it, which costs more than the rest of the construction.  Philox
+    asks its seed sequence for exactly two 64-bit words and uses them as the
+    key, so ``Philox(_StreamKey(key))`` is the stream of ``Philox(key=key)``.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
 
 
 class _BlockGenerator(_Generator):
@@ -137,7 +154,7 @@ class RngStream:
             )
         # little-endian words of the 128-bit key (master_seed << 64) | stream_id
         key = np.array([self.stream_id, self.master_seed], dtype=np.uint64)
-        return _BlockGenerator(np.random.Philox(key=key))
+        return _BlockGenerator(np.random.Philox(_StreamKey(key)))
 
     def child(self, index: int) -> "RngStream":
         """Derived stream for sub-task ``index`` (e.g. one replicate)."""

@@ -16,6 +16,7 @@ from fishyvar.avar import (
 )
 from fishyvar.chains import Ar1Model, ModelBundle, TestFunction
 from fishyvar.couplings import ar1_kernel, finite_kernel
+from fishyvar.diagnostics import bootstrap_resample
 from fishyvar.fishy import estimate_fishy
 from fishyvar.oracle import ar1_avar_exact, solve_finite
 from fishyvar.rng import RngStream
@@ -430,6 +431,37 @@ def test_inefficiency_cost_linearity(np_rng):
     doubled = inefficiency(_fake_estimates(values, 2 * costs), rng=RngStream(19).generator())
     assert doubled.inefficiency == pytest.approx(2 * base.inefficiency, rel=1e-12)
     assert doubled.mean_cost == pytest.approx(2 * base.mean_cost, rel=1e-12)
+
+
+def test_inefficiency_bootstrap_variances_match_two_pass_variances(monkeypatch):
+    # a unit spread on a mean of 1e8: an uncentred one-pass variance cancels
+    gen = RngStream(27).generator()
+    values = 1e8 + gen.standard_normal(200)
+    costs = gen.integers(5, 50, size=200)
+    blocks = []
+
+    def recording_resample(n, n_resamples, rng, statistic):
+        def recorded(idx):
+            rows = statistic(idx)
+            blocks.append((idx, rows))
+            return rows
+
+        return bootstrap_resample(n, n_resamples, rng, recorded)
+
+    monkeypatch.setattr(avar, "bootstrap_resample", recording_resample)
+    inefficiency(_fake_estimates(values, costs), n_resamples=2000, rng=RngStream(28))
+    assert sum(len(idx) for idx, _ in blocks) == 2000
+    for idx, rows in blocks:
+        np.testing.assert_allclose(rows[:, 0], values[idx].var(axis=1, ddof=1), rtol=1e-9)
+        np.testing.assert_allclose(rows[:, 1], costs[idx].mean(axis=1), rtol=1e-12)
+
+
+def test_inefficiency_variance_interval_stays_nonnegative():
+    # one resample of 3 values in nine repeats one value, whose variance is 0
+    values = [-38.91457410978778, -53.21692510282431, -43.96400742717075]
+    summary = inefficiency(_fake_estimates(values, [5] * 3), n_resamples=200, rng=RngStream(0))
+    assert 0.0 <= summary.ci_variance[0] < 1e-12
+    assert 0.0 <= summary.ci_inefficiency[0] < 1e-12
 
 
 def test_inefficiency_requires_two_replicates():

@@ -422,6 +422,10 @@ def test_seed_outside_the_key_word_exits_2(tmp_path, monkeypatch, capsys, seed):
         (["epave", "--test-function", "identity-and-square"], "test_function"),
         (["suave", "--xi", "optimal", "--test-function", "identity-and-square"], "test_function"),
         (["tailfit", "--phi", "0.5"], "reps"),
+        (["fishy", "--reps", "1"], "reps"),
+        (["umcmc", "--reps", "1"], "reps"),
+        (["suave", "--reps", "1"], "reps"),
+        (["epave", "--reps", "1"], "reps"),
     ],
 )
 def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
@@ -430,7 +434,8 @@ def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):
     missing = tmp_path / "missing.csv"
     argv = [arg.format(empty_grid=empty_grid, missing=missing) for arg in argv]
     out = tmp_path / "out"
-    assert main(argv + ["--reps", "5", "--out", str(out)]) == 2
+    # the default --reps 5 comes first, so a case's own --reps overrides it
+    assert main(argv[:1] + ["--reps", "5"] + argv[1:] + ["--out", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

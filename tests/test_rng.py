@@ -84,6 +84,28 @@ def test_master_seed_outside_the_key_word_raises_instead_of_aliasing():
             RngStream(seed)
 
 
+_KEY_WORDS = (0, 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", _KEY_WORDS)
+@pytest.mark.parametrize("stream_id", _KEY_WORDS)
+def test_stream_keys_give_the_plain_philox_stream(seed, stream_id):
+    # known answers: the key words (stream_id, master_seed) as numpy keys Philox
+    stream = RngStream(seed, stream_id)
+    key = np.array([stream_id, seed], dtype=np.uint64)
+    np.testing.assert_array_equal(
+        stream.generator().bit_generator.random_raw(8), np.random.Philox(key=key).random_raw(8)
+    )
+    rng = stream.generator()
+    assert [rng.random() for _ in range(16)] == _philox(stream_id, seed).random(16).tolist()
+    rng = stream.generator()
+    normals = [rng.standard_normal() for _ in range(16)]
+    assert normals == _philox(stream_id, seed).standard_normal(16).tolist()
+    np.testing.assert_array_equal(
+        stream.generator().integers(7, size=5), _philox(stream_id, seed).integers(7, size=5)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Block-served draws
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .avar import (
     inefficiency,
     sample_suave,
     selection_probs,
-    suave,
     suave_multivariate,
     unbiased_target_variance,
 )

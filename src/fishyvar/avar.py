@@ -31,7 +31,7 @@ from .chains import ModelBundle, State, TestFunction
 from .diagnostics import bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
-from .simulate import map_replicates, run_coupled
+from .simulate import replicates, run_coupled
 from .umcmc import SignedMeasure, _categorical, reservoir_select, signed_measure
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "InefficiencySummary",
     "unbiased_target_variance",
     "selection_probs",
-    "suave",
     "suave_multivariate",
     "sample_suave",
     "epave",
@@ -264,7 +263,10 @@ def suave_multivariate(
     rng: np.random.Generator | RngStream | None = None,
     second_moment_table: FishyProfile | Callable[[State], float] | None = None,
 ) -> AvarEstimate:
-    """One subsampled unbiased estimate of the d x d asymptotic covariance.
+    """One subsampled unbiased estimate of the asymptotic variance.
+
+    Its value is a float for a scalar test function (zero when h is
+    constant) and a symmetric d x d covariance matrix for arity d.
 
     Per test-function coordinate pair (i, j), the estimand combines the
     negated stationary cross-moment with the symmetrized product of centred
@@ -318,39 +320,6 @@ def suave_multivariate(
     )
 
 
-def suave(
-    bundle: ModelBundle,
-    h: TestFunction,
-    k: int,
-    ell: int,
-    lag: int,
-    R: int,
-    y: State,
-    xi_kind: str = "uniform",
-    rng: np.random.Generator | RngStream | None = None,
-    second_moment_table: FishyProfile | Callable[[State], float] | None = None,
-) -> AvarEstimate:
-    """One subsampled unbiased estimate of the scalar asymptotic variance.
-
-    The scalar case of :func:`suave_multivariate`; with a constant test
-    function both terms vanish.
-    """
-    if h.arity != 1:
-        raise ValueError("suave expects a scalar test function; see suave_multivariate")
-    return suave_multivariate(
-        bundle,
-        h,
-        k,
-        ell,
-        lag,
-        R,
-        y,
-        xi_kind=xi_kind,
-        rng=rng,
-        second_moment_table=second_moment_table,
-    )
-
-
 def sample_suave(
     bundle: ModelBundle,
     h: TestFunction,
@@ -367,21 +336,10 @@ def sample_suave(
 ) -> list[AvarEstimate]:
     """Independent SUAVE replicates, one stream per replicate."""
 
-    def one(child: RngStream) -> AvarEstimate:
-        return suave_multivariate(
-            bundle,
-            h,
-            k,
-            ell,
-            lag,
-            R,
-            y,
-            xi_kind=xi_kind,
-            rng=child.generator(),
-            second_moment_table=second_moment_table,
-        )
+    def body(rng: np.random.Generator) -> AvarEstimate:
+        return suave_multivariate(bundle, h, k, ell, lag, R, y, xi_kind, rng, second_moment_table)
 
-    return map_replicates(one, stream.children(n_reps), n_workers)
+    return replicates(body, stream, n_reps, n_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Every subcommand reads an optional YAML config (flags override file values),
 runs with one reproducible stream per replicate, and writes a CSV of
 per-replicate results plus a JSON summary into the output directory.  Summary
 field names follow the reported table columns: estimate, total cost, fishy
-cost, variance of estimator, inefficiency.  Rerunning with the same config and
-seed reproduces output files byte for byte, regardless of worker count.
+cost, variance of estimator, inefficiency.  Replicate r draws from stream
+child r of the seed, so rerunning with the same config and seed reproduces
+output files byte for byte.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from .diagnostics import bootstrap_ci, tail_fit, tv_curve
 from .fishy import fishy_profile
 from .oracle import Ar1TheoryBound, ar1_survival_bound, solve_finite
 from .rng import RngStream
-from .simulate import (
-    TransitionBudgetError,
-    map_replicates,
-    run_coupled,
-    sample_meetings,
-)
+from .simulate import TransitionBudgetError, replicates, run_coupled, sample_meetings
 from .umcmc import pilot_tuning, sample_unbiased
 
 __all__ = ["main", "run_experiment"]
@@ -91,7 +87,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def _meetings(cfg: ExperimentConfig, lag: int) -> list:
     bundle, _ = build_bundle(cfg)
     stream = RngStream(cfg.seed)
-    return sample_meetings(bundle.kernel, bundle.init_sampler, lag, cfg.reps, stream, cfg.workers)
+    return sample_meetings(bundle.kernel, bundle.init_sampler, lag, cfg.reps, stream)
 
 
 def _run_meetings(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -163,8 +159,8 @@ def _run_fishy(cfg: ExperimentConfig, out_dir: Path) -> dict:
     bundle, h = bundle_for(cfg, model)
     _require_scalar(h)
     stream = RngStream(cfg.seed)
-    grid, anchor = _state_grid(cfg, model), _state_value(cfg, cfg.y)
-    profile = fishy_profile(bundle.kernel, h, grid, anchor, cfg.reps, stream, cfg.workers)
+    grid, anchor = _state_grid(cfg, model), _state_value(cfg, model)
+    profile = fishy_profile(bundle.kernel, h, grid, anchor, cfg.reps, stream)
     rows = list(
         zip(
             profile.x.tolist(),
@@ -183,15 +179,7 @@ def _run_umcmc(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _require_lag(cfg)
     stream = RngStream(cfg.seed)
     estimates = sample_unbiased(
-        bundle.kernel,
-        bundle.init_sampler,
-        h,
-        cfg.k,
-        cfg.ell,
-        cfg.lag,
-        cfg.reps,
-        stream,
-        cfg.workers,
+        bundle.kernel, bundle.init_sampler, h, cfg.k, cfg.ell, cfg.lag, cfg.reps, stream
     )
     rows = [(i, e.scalar, e.cost_units) for i, e in enumerate(estimates)]
     _emit(cfg, out_dir, "umcmc", ("rep", "value", "cost"), rows)
@@ -205,8 +193,10 @@ def _run_umcmc(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _run_epave(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    bundle, h = build_bundle(cfg)
+    model = build_model(cfg)
+    bundle, h = bundle_for(cfg, model)
     _require_scalar(h)
+    anchor = _state_value(cfg, model)
     stream = RngStream(cfg.seed)
     burn_in = cfg.burn_in
     if burn_in is None:
@@ -215,12 +205,9 @@ def _run_epave(cfg: ExperimentConfig, out_dir: Path) -> dict:
         )
         burn_in = pilot_tuning([s.tau for s in pilot_samples], 1, cfg.quantile).k
 
-    anchor = _state_value(cfg, cfg.y)
-
-    def one(child):
-        return epave(bundle, h, cfg.t_steps, anchor, cfg.thin, child.generator(), burn_in)
-
-    estimates = map_replicates(one, stream.children(cfg.reps), cfg.workers)
+    estimates = replicates(
+        lambda rng: epave(bundle, h, cfg.t_steps, anchor, cfg.thin, rng, burn_in), stream, cfg.reps
+    )
     rows = [(i, e.value, e.cost_units) for i, e in enumerate(estimates)]
     _emit(cfg, out_dir, "epave", ("rep", "estimate", "cost"), rows)
     summary = {
@@ -240,7 +227,7 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     bundle, h = bundle_for(cfg, model)
     _require_lag(cfg)
     stream = RngStream(cfg.seed)
-    anchor = _state_value(cfg, cfg.y)
+    anchor = _state_value(cfg, model)
     table = None
     if cfg.xi == "optimal":
         _require_scalar(h)
@@ -249,18 +236,7 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
             stream.child(MAX_REPS),
         )
     estimates = sample_suave(
-        bundle,
-        h,
-        cfg.k,
-        cfg.ell,
-        cfg.lag,
-        cfg.R,
-        anchor,
-        cfg.reps,
-        stream,
-        xi_kind=cfg.xi,
-        second_moment_table=table,
-        n_workers=cfg.workers,
+        bundle, h, cfg.k, cfg.ell, cfg.lag, cfg.R, anchor, cfg.reps, stream, cfg.xi, table
     )
     rows = [(i, e.scalar, e.cost_total, e.cost_fishy) for i, e in enumerate(estimates)]
     _emit(cfg, out_dir, "suave", ("rep", "estimate", "cost_total", "cost_fishy"), rows)
@@ -291,13 +267,11 @@ def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
     except ValueError as exc:
         raise ConfigError(f"config key 'model.phi' = {phi}: no geometric bound ({exc})") from exc
     x0, y0 = 2.0, -2.0
-    stream = RngStream(cfg.seed)
 
-    def one(child):
-        rng = child.generator()
+    def meeting(rng):
         return run_coupled(bundle.kernel, x0, y0, 0, 0, rng, keep_paths=False).meeting_time
 
-    taus = np.array(map_replicates(one, stream.children(cfg.reps), cfg.workers))
+    taus = np.array(replicates(meeting, RngStream(cfg.seed), cfg.reps))
     n = np.arange(cfg.n_max + 1)
     bounds = ar1_survival_bound(bound, x0, y0, n)
     empirical = (taus[None, :] > n[:, None]).mean(axis=1)
@@ -419,9 +393,14 @@ def _require_scalar(h) -> None:
         raise ConfigError("config key 'test_function' must name a scalar test function")
 
 
-def _state_value(cfg: ExperimentConfig, value: float):
+def _state_value(cfg: ExperimentConfig, model):
     # finite chains index states by integers; continuous models use floats
-    return MODELS[cfg.model].state(value)
+    y = cfg.y
+    if MODELS[cfg.model].state is int and not (0 <= y < model.n_states and y == int(y)):
+        raise ConfigError(
+            f"config key 'estimator.y' must be a state index in [0, {model.n_states}), got {y!r}"
+        )
+    return MODELS[cfg.model].state(y)
 
 
 def _state_grid(cfg: ExperimentConfig, model) -> list:
@@ -455,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=None, help="master seed (env FISHYVAR_SEED)")
     common.add_argument("--reps", type=int, default=None, help="number of replicates")
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
     common.add_argument("--out", dest="output_dir", default=None, help="output directory")
 

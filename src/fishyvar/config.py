@@ -105,7 +105,6 @@ class ExperimentConfig:
     burn_in: int | None = _key("estimator.burn_in")
     reps: int = _key("reps", 100)
     seed: int = _key("seed", 0)
-    workers: int = _key("workers", 1)
     grid: list[float] = _key("grid", factory=lambda: [-3, -2, -1, 0, 1, 2, 3])
     t_max: int = _key("t_max", 200)
     t_min: float | None = _key("t_min")
@@ -135,7 +134,6 @@ class ExperimentConfig:
                 f"must be at least 2 for {self.command}",
             ),
             (0 <= self.seed < 2**64, "seed", "must be an integer in [0, 2^64)"),
-            (self.workers >= 1, "workers", "must be at least 1"),
             (len(self.grid) >= 1, "grid", "must hold at least one point"),
             (self.t_max >= 0, "t_max", "must be nonnegative"),
             (self.n_max >= 0, "n_max", "must be nonnegative"),
@@ -210,6 +208,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a mapping at top level")
+        _reject_unknown_keys(raw)
 
     cfg = ExperimentConfig()
     for f in _SETTINGS:
@@ -235,6 +234,27 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         setattr(cfg, attr, value)
     cfg.validate()
     return cfg
+
+
+def _reject_unknown_keys(raw: dict) -> None:
+    """Raise on a key that names no setting (model keys are checked at build time)."""
+    names: dict = {}  # section -> its setting names, "" for the section itself
+    for f in _SETTINGS:
+        section, _, name = f.metadata["key"].partition(".")
+        names.setdefault(section, set()).add(name)
+    for section, node in raw.items():
+        known = names.get(section)
+        if known is None:
+            raise ConfigError(f"config key {section!r} names no setting; known: {sorted(names)}")
+        if "" in known or node is None:  # a setting itself, or the model section
+            continue
+        if not isinstance(node, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping, got {node!r}")
+        for name in node:
+            if name not in known:
+                raise ConfigError(
+                    f"config key '{section}.{name}' names no setting; known: {sorted(known)}"
+                )
 
 
 def _dig(raw: dict, key: str):

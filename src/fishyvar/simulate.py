@@ -5,15 +5,15 @@ under the coupled kernel until X_t = Y_{t-lag}; afterwards only X continues
 (Y mirrors X by faithfulness and is not re-simulated).  Transition costs count
 one unit per single-chain step and two units per coupled step.
 
-Replicate fan-out assigns each run its own :class:`~fishyvar.rng.RngStream`,
-so results are reproducible bit-for-bit regardless of how many workers execute
-them.
+Replicate r draws from its own :class:`~fishyvar.rng.RngStream`,
+``stream.child(r)``, so results are reproducible bit-for-bit from the seed
+alone.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "TransitionBudgetError",
     "run_coupled",
     "sample_meetings",
+    "replicates",
     "map_replicates",
     "DEFAULT_TRANSITION_BUDGET",
 ]
@@ -67,8 +68,6 @@ class CoupledRun:
     y_path: list | None
     meeting_time: int
     cost_units: int
-    _kernel: CoupledKernel | None = field(default=None, repr=False)
-    _rng: np.random.Generator | None = field(default=None, repr=False)
 
     @property
     def horizon(self) -> int:
@@ -83,16 +82,6 @@ class CoupledRun:
         if s < len(self.y_path):
             return self.y_path[s]
         return self.x_path[s + self.lag]
-
-    def extend_to(self, horizon: int) -> None:
-        """Advance the single X chain (same stream) up to the given index."""
-        if horizon <= self.horizon:
-            return
-        if self._kernel is None or self._rng is None:
-            raise ValueError("run does not retain its kernel/stream; rerun with a larger horizon")
-        start, step = self.horizon, self._kernel.base.step
-        _advance_x(step, self.x_path[-1], start, horizon, self._rng, self.x_path, None)
-        self.cost_units += horizon - start
 
 
 def run_coupled(
@@ -162,9 +151,7 @@ def run_coupled(
     _advance_x(step, x, t, horizon_min, rng, x_path, on_x)
     cost += max(horizon_min - t, 0)
 
-    if not keep_paths:
-        return CoupledRun(lag, None, None, tau, cost)
-    return CoupledRun(lag, x_path, y_path, tau, cost, _kernel=kernel, _rng=rng)
+    return CoupledRun(lag, x_path, y_path, tau, cost)
 
 
 def _advance_x(step, x: State, start: int, until: int, rng, x_path: list | None, on_x) -> State:
@@ -187,7 +174,6 @@ class MeetingSample:
     x0: State
     y0: State
     cost_units: int
-    stream_id: int
 
 
 def sample_meetings(
@@ -201,23 +187,37 @@ def sample_meetings(
     """Replicated meeting times, one independent stream per replicate.
 
     X_0 and Y_0 are drawn independently from ``init_sampler``.  Results are
-    ordered by replicate index and do not depend on ``n_workers``.
+    ordered by replicate index.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
 
-    def one(child: RngStream) -> MeetingSample:
-        rng = child.generator()
+    def body(rng: np.random.Generator) -> MeetingSample:
         x0 = init_sampler(rng)
         y0 = init_sampler(rng)
         run = run_coupled(kernel, x0, y0, lag, 0, rng, keep_paths=False)
-        return MeetingSample(run.meeting_time, lag, x0, y0, run.cost_units, child.stream_id)
+        return MeetingSample(run.meeting_time, lag, x0, y0, run.cost_units)
 
-    return map_replicates(one, stream.children(n_reps), n_workers)
+    return replicates(body, stream, n_reps, n_workers)
 
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+
+def replicates(
+    body: Callable[[np.random.Generator], T],
+    stream: RngStream,
+    n_reps: int,
+    n_workers: int = 1,
+) -> list[T]:
+    """``body(rng)`` for replicates r = 0..n_reps-1, in replicate order.
+
+    Replicate r draws from a fresh generator of ``stream.child(r)``, so its
+    result depends only on the stream and r, never on the worker count.
+    """
+    # map_replicates is read at call time, so a tracer that rebinds it sees every replicate
+    return map_replicates(lambda child: body(child.generator()), stream.children(n_reps), n_workers)
 
 
 def map_replicates(

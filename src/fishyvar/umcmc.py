@@ -22,7 +22,7 @@ import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction
 from .rng import RngStream, as_generator
-from .simulate import CoupledRun, map_replicates, run_coupled
+from .simulate import CoupledRun, replicates, run_coupled
 
 __all__ = [
     "SignedMeasure",
@@ -85,7 +85,8 @@ def _measure_lists(run: CoupledRun, k: int, ell: int) -> tuple[list, list[float]
         raise ValueError("the time-averaged estimator requires lag >= 1")
     if k > ell:
         raise ValueError("k must not exceed ell")
-    run.extend_to(ell)
+    if run.horizon < ell:
+        raise ValueError(f"run horizon {run.horizon} falls short of ell = {ell}")
     w0 = 1.0 / (ell - k + 1)
     atoms = run.x_path[k : ell + 1]
     weights = [w0] * (ell - k + 1)
@@ -109,10 +110,9 @@ def h_kl_estimator(run: CoupledRun, h: TestFunction, k: int, ell: int) -> Unbias
     """Time-averaged unbiased estimator of pi(h) from one lagged run.
 
     The integral of h against the run's signed measure (see
-    :func:`signed_measure`), computed without building the measure.  Extends
-    the run's single chain internally if its horizon falls short of ``ell``.
-    When the meeting happens at or before k + lag the correction sum is empty
-    and the value is the plain ergodic average.
+    :func:`signed_measure`), computed without building the measure.  The run
+    must reach index ``ell``.  When the meeting happens at or before k + lag
+    the correction sum is empty and the value is the plain ergodic average.
     """
     atoms, weights = _measure_lists(run, k, ell)
     tau = run.meeting_time
@@ -275,14 +275,13 @@ def sample_unbiased(
 ) -> list[UnbiasedEstimate]:
     """Independent replicates of the time-averaged estimator of pi(h)."""
 
-    def one(child: RngStream) -> UnbiasedEstimate:
-        rng = child.generator()
+    def body(rng: np.random.Generator) -> UnbiasedEstimate:
         x0 = init_sampler(rng)
         y0 = init_sampler(rng)
         run = run_coupled(kernel, x0, y0, lag, ell, rng)
         return h_kl_estimator(run, h, k, ell)
 
-    return map_replicates(one, stream.children(n_reps), n_workers)
+    return replicates(body, stream, n_reps, n_workers)
 
 
 ELL_MULTIPLE = 5  # pilot-tuned ell as a multiple of k

@@ -10,7 +10,6 @@ from fishyvar.avar import (
     inefficiency,
     sample_suave,
     selection_probs,
-    suave,
     suave_multivariate,
     unbiased_target_variance,
 )
@@ -162,9 +161,22 @@ def test_suave_constant_h_vanishes(np_rng):
     model = random_finite_chain(np_rng)
     bundle = _finite_bundle(model)
     const = TestFunction(lambda s: 4.0, 1, "const")
-    est = suave(bundle, const, 2, 10, 1, 3, 0, rng=RngStream(3).generator())
+    est = suave_multivariate(bundle, const, 2, 10, 1, 3, 0, rng=RngStream(3).generator())
     assert est.value == pytest.approx(0.0, abs=1e-12)
     assert est.cost_total == est.cost_signed_measures + est.cost_fishy
+
+
+def test_sample_suave_replicate_r_runs_on_child_r(np_rng):
+    model = random_finite_chain(np_rng)
+    bundle = _finite_bundle(model)
+    h = model.test_function()
+    stream = RngStream(6)
+    n = 4
+    estimates = sample_suave(bundle, h, 2, 10, 1, 3, 0, n, stream, "proportional-to-abs-weight")
+    for r in (0, n - 1):
+        rng = stream.child(r).generator()
+        direct = suave_multivariate(bundle, h, 2, 10, 1, 3, 0, "proportional-to-abs-weight", rng)
+        assert estimates[r] == direct
 
 
 def test_suave_unbiased_on_finite_chain(np_rng):
@@ -260,16 +272,12 @@ def test_suave_label_symmetry_distributional(np_rng, monkeypatch):
 
 
 def test_suave_multivariate_d1_matches_scalar(np_rng):
-    # arity-1 input through the multivariate path reproduces the scalar
-    # entry point exactly under the same stream
+    # a scalar test function gives a float value, not a 1 x 1 matrix
     model = random_finite_chain(np_rng)
     bundle = _finite_bundle(model)
     h = model.test_function()
-    scalar = suave(bundle, h, 3, 12, 2, 4, 0, rng=RngStream(10).generator())
-    matrix = suave_multivariate(bundle, h, 3, 12, 2, 4, 0, rng=RngStream(10).generator())
+    scalar = suave_multivariate(bundle, h, 3, 12, 2, 4, 0, rng=RngStream(10).generator())
     assert isinstance(scalar.value, float)
-    assert scalar.value == matrix.value
-    assert scalar.cost_total == matrix.cost_total
 
 
 @pytest.mark.parametrize("xi_kind", ["uniform", "proportional-to-abs-weight"])
@@ -282,7 +290,8 @@ def test_suave_scalar_and_matrix_corrections_agree(np_rng, xi_kind):
     col = model.h_values[:, 0]
     h2 = TestFunction(lambda s: (col[s], 2.0 * col[s]), 2, "h-and-2h")
     for seed in range(13, 18):
-        v = suave(bundle, h, 3, 12, 2, 4, 0, xi_kind, RngStream(seed).generator()).value
+        rng = RngStream(seed).generator()
+        v = suave_multivariate(bundle, h, 3, 12, 2, 4, 0, xi_kind, rng).value
         matrix = suave_multivariate(
             bundle, h2, 3, 12, 2, 4, 0, xi_kind, RngStream(seed).generator()
         )
@@ -319,11 +328,11 @@ def test_suave_argument_validation(np_rng):
     bundle = _finite_bundle(model)
     h = model.test_function()
     with pytest.raises(ValueError):
-        suave(bundle, h, 3, 2, 1, 1, 0)
+        suave_multivariate(bundle, h, 3, 2, 1, 1, 0)
     with pytest.raises(ValueError):
-        suave(bundle, h, 1, 5, 0, 1, 0)
+        suave_multivariate(bundle, h, 1, 5, 0, 1, 0)
     with pytest.raises(ValueError):
-        suave(bundle, h, 1, 5, 1, 0, 0)
+        suave_multivariate(bundle, h, 1, 5, 1, 0, 0)
     with pytest.raises(ValueError):
         suave_multivariate(bundle, h, 1, 5, 1, 1, 0, xi_kind="bogus")
 

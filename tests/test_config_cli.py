@@ -87,7 +87,6 @@ estimator:
   burn_in: 7
 reps: 9
 seed: 11
-workers: 2
 grid: [-1.5, 1.5]
 t_max: 40
 t_min: 2.5
@@ -106,7 +105,7 @@ output:
     assert cfg.test_function == "square"
     assert (cfg.k, cfg.lag, cfg.ell, cfg.R, cfg.y, cfg.xi) == (20, 5, 60, 3, 0.5, "optimal")
     assert (cfg.thin, cfg.t_steps, cfg.burn_in) == (2, 50, 7)
-    assert (cfg.reps, cfg.seed, cfg.workers, cfg.grid) == (9, 11, 2, [-1.5, 1.5])
+    assert (cfg.reps, cfg.seed, cfg.grid) == (9, 11, [-1.5, 1.5])
     assert (cfg.t_max, cfg.t_min, cfg.n_max, cfg.quantile) == (40, 2.5, 12, 0.9)
     assert cfg.reference_avar == 3.5
     assert (cfg.output_format, cfg.output_dir) == ("json", "elsewhere")
@@ -135,6 +134,34 @@ def test_config_validation_names_keys():
         load_config(None, {"model": "unknown"})
     with pytest.raises(ConfigError, match="test_function"):
         load_config(None, {"test_function": "missing"})
+
+
+@pytest.mark.parametrize(
+    "yaml_text, key",
+    [
+        ("estimator:\n  kk: 3\nrepz: 7\noutput:\n  formatt: json\n", "estimator.kk"),
+        ("repz: 7\n", "repz"),
+        ("output:\n  formatt: json\n", "output.formatt"),
+        ("coupling:\n  knd: reflection-maximal\n", "coupling.knd"),
+        ("estimator: 5\n", "estimator"),
+        ("workers: 2\n", "workers"),
+    ],
+)
+def test_unknown_config_keys_exit_2_naming_the_key(tmp_path, capsys, yaml_text, key):
+    cfg_file = tmp_path / "typo.yaml"
+    cfg_file.write_text(yaml_text)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(cfg_file)
+    out = tmp_path / "out"
+    assert main(["meetings", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["meetings", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_config_rejects_bad_yaml(tmp_path):
@@ -264,7 +291,7 @@ def test_meetings_csv_golden_header(tmp_path):
     assert len(lines) == 11
 
 
-def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
+def test_rerun_is_byte_identical(tmp_path):
     args = [
         "suave",
         "--model",
@@ -284,14 +311,11 @@ def test_rerun_is_byte_identical_and_worker_independent(tmp_path):
         "--seed",
         "11",
     ]
-    out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
-    assert main(args + ["--out", str(out3), "--workers", "4"]) == 0
     for name in ("suave.csv", "suave_summary.json"):
-        ref = (out1 / name).read_bytes()
-        assert (out2 / name).read_bytes() == ref
-        assert (out3 / name).read_bytes() == ref
+        assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
 
 def test_suave_summary_fields(tmp_path):
@@ -671,6 +695,25 @@ def test_run_experiment_unknown_command():
     cfg.command = "nope"
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("command", ["fishy", "suave", "epave"])
+@pytest.mark.parametrize("y", ["3", "7", "-1", "-2", "0.5"])
+def test_finite_anchor_must_be_a_state_index(finite_csv, tmp_path, capsys, command, y):
+    out = tmp_path / "out"
+    argv = [command, "--model", "finite", "--transition-csv", str(finite_csv), "--y", y]
+    assert main(argv + ["--reps", "5", "--out", str(out)]) == 2
+    assert "'estimator.y'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_finite_anchor_accepts_the_last_state(finite_csv):
+    from fishyvar import cli
+
+    params = {"transition_csv": str(finite_csv)}
+    cfg = load_config(None, {"model": "finite", "model_params": params, "y": 2.0})
+    anchor = cli._state_value(cfg, build_model(cfg))
+    assert (anchor, type(anchor)) == (2, int)
 
 
 def test_suave_and_fishy_on_finite_chain(finite_csv, tmp_path):

@@ -4,9 +4,12 @@ from scipy import stats
 
 from fishyvar.chains import Ar1Model, CoupledKernel, FiniteChainModel, MarkovKernel
 from fishyvar.couplings import ar1_kernel, finite_kernel
+from fishyvar import simulate
 from fishyvar.rng import RngStream
 from fishyvar.simulate import (
+    MeetingSample,
     TransitionBudgetError,
+    replicates,
     run_coupled,
     sample_meetings,
 )
@@ -122,19 +125,6 @@ def test_warmup_consumes_exactly_lag_transitions():
     assert run.meeting_time == lag + 1
 
 
-def test_extend_to_continues_single_chain(np_rng):
-    model = random_finite_chain(np_rng)
-    kernel = finite_kernel(model)
-    run = run_coupled(kernel, 0, 1, 2, 0, RngStream(4).generator())
-    h0 = run.horizon
-    cost0 = run.cost_units
-    run.extend_to(h0 + 25)
-    assert run.horizon == h0 + 25
-    assert run.cost_units == cost0 + 25
-    run.extend_to(10)  # no-op when already long enough
-    assert run.horizon == h0 + 25
-
-
 @pytest.mark.parametrize("lag", [0, 1, 3])
 def test_visitors_replay_the_retained_paths_in_order(np_rng, lag):
     model = random_finite_chain(np_rng)
@@ -179,17 +169,35 @@ def test_budget_abort():
         run_coupled(broken, 0.0, 5.0, 0, 0, RngStream(5).generator(), budget=1000)
 
 
-def test_sample_meetings_single_rep_matches_run_coupled():
+def test_sample_meetings_replicate_r_runs_on_child_r():
     kernel = ar1_kernel(Ar1Model(0.9))
     stream = RngStream(6)
-    sample = sample_meetings(kernel, lambda rng: rng.standard_normal(), 1, 1, stream)[0]
-    rng = stream.child(0).generator()
-    x0 = rng.standard_normal()
-    y0 = rng.standard_normal()
-    run = run_coupled(kernel, x0, y0, 1, 0, rng)
-    assert sample.tau == run.meeting_time
-    assert sample.cost_units == run.cost_units
-    assert (sample.x0, sample.y0) == (x0, y0)
+    n = 5
+    samples = sample_meetings(kernel, lambda rng: rng.standard_normal(), 1, n, stream)
+    for r in (0, n - 1):
+        rng = stream.child(r).generator()
+        x0 = rng.standard_normal()
+        y0 = rng.standard_normal()
+        run = run_coupled(kernel, x0, y0, 1, 0, rng)
+        assert samples[r] == MeetingSample(run.meeting_time, 1, x0, y0, run.cost_units)
+
+
+def test_replicates_fan_out_through_the_module_level_map(monkeypatch):
+    # tracers rebind simulate.map_replicates; every replicate must pass through it
+    seen = []
+    original = simulate.map_replicates
+
+    def recording(fn, items, n_workers=1):
+        items = list(items)
+        seen.extend(child.stream_id for child in items)
+        return original(fn, items, n_workers)
+
+    monkeypatch.setattr(simulate, "map_replicates", recording)
+    stream = RngStream(3)
+    assert replicates(lambda rng: rng.random(), stream, 3) == [
+        stream.child(r).generator().random() for r in range(3)
+    ]
+    assert seen == [stream.child(r).stream_id for r in range(3)]
 
 
 def test_sample_meetings_worker_count_invariance():

@@ -114,6 +114,34 @@ def test_finite_chain_unbiased_for_stationary_mean(np_rng):
     assert abs(mean - oracle.pi_h[0]) < 3 * se
 
 
+def test_sample_unbiased_replicate_r_runs_on_child_r(np_rng):
+    model = random_finite_chain(np_rng)
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    init = lambda rng: int(rng.integers(model.n_states))
+    stream = RngStream(5)
+    n, k, ell, lag = 6, 2, 9, 2
+    estimates = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
+    for r in (0, n - 1):
+        rng = stream.child(r).generator()
+        x0, y0 = init(rng), init(rng)
+        direct = h_kl_estimator(run_coupled(kernel, x0, y0, lag, ell, rng), h, k, ell)
+        assert estimates[r].value.tolist() == direct.value.tolist()
+        assert (estimates[r].cost_units, estimates[r].tau) == (direct.cost_units, direct.tau)
+
+
+def test_short_run_raises_and_is_left_unchanged(np_rng):
+    kernel = finite_kernel(random_finite_chain(np_rng))
+    run = run_coupled(kernel, 0, 1, 2, 0, RngStream(4).generator())
+    ell = run.horizon + 5
+    x_path = list(run.x_path)
+    with pytest.raises(ValueError, match="horizon"):
+        h_kl_estimator(run, IDENTITY, 0, ell)
+    with pytest.raises(ValueError, match="horizon"):
+        signed_measure(run, 0, ell)
+    assert run.x_path == x_path
+
+
 def test_ar1_time_average_is_centred():
     kernel = ar1_kernel(Ar1Model(0.99, 1.0))
     estimates = sample_unbiased(

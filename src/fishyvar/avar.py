@@ -134,15 +134,13 @@ def selection_probs(
         return SelectionProbs(raw / raw.sum(), kind)
     if second_moment_table is None:
         raise ValueError("optimal selection requires a second-moment table")
-    lookup = (
-        second_moment_table.lookup_second_moment
-        if isinstance(second_moment_table, FishyProfile)
-        else second_moment_table
-    )
-    alpha = np.empty(n)
-    for i, (z, w) in enumerate(zip(pihat.atoms, pihat.weights)):
-        centred = w * (h.eval_scalar(z) - pihat_other_mean)
-        alpha[i] = centred * centred * lookup(z)
+    atoms = pihat.atoms
+    if isinstance(second_moment_table, FishyProfile):
+        second_moments = second_moment_table.lookup_second_moments(atoms)
+    else:
+        second_moments = np.array([second_moment_table(z) for z in atoms], dtype=float)
+    centred = pihat.weights * (np.array([h.eval_scalar(z) for z in atoms]) - pihat_other_mean)
+    alpha = centred * centred * second_moments
     if not np.any(alpha > 0.0):
         warnings.warn(
             "all optimal selection scores are zero; falling back to uniform",
@@ -166,7 +164,7 @@ def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple[np.ndarray, np.ndar
     """Integrals of h, shape (d,), and of h h^T, shape (d, d), against a measure.
 
     The one accumulator behind SUAVE and the target variance.  For arity 1
-    the sums stay Python floats: two float products per atom.
+    the sums stay scalars: two products per atom, shapes checked on the totals.
     """
     hfn = h.evaluator
     outer = operator.mul if h.arity == 1 else np.outer
@@ -176,7 +174,7 @@ def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple[np.ndarray, np.ndar
         wh = w * hv
         sum_h += wh
         sum_hh += outer(wh, hv)
-    return np.array(sum_h, ndmin=1), np.array(sum_hh, ndmin=2)
+    return h.vector(sum_h), np.array(sum_hh, ndmin=2)
 
 
 def _target_covariance(moments_a, moments_b) -> np.ndarray:

@@ -15,6 +15,7 @@ finite chains.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -48,6 +49,16 @@ def states_equal(x: State, y: State) -> bool:
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return bool(np.array_equal(x, y))
     return x == y
+
+
+def _state_equality(x: State, y: State) -> Callable[[State, State], bool]:
+    """The meeting test for a run started at ``x`` and ``y``, chosen once per run.
+
+    :func:`states_equal` when either start is an array, else plain ``==``.
+    """
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return states_equal
+    return operator.eq
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,15 @@ class TestFunction:
 
     def eval(self, state: State) -> np.ndarray:
         """Value as a 1-d array of length ``arity``."""
-        out = np.atleast_1d(np.asarray(self.fn(state), dtype=float))
+        return self.vector(self.fn(state))
+
+    def vector(self, value) -> np.ndarray:
+        """A value of ``fn``, or a sum of them, as a float vector of length ``arity``.
+
+        Raises on any other shape.  Loops over :attr:`evaluator` values call it
+        once, on their total.
+        """
+        out = np.array(value, dtype=float, ndmin=1)
         if out.shape != (self.arity,):
             raise ValueError(
                 f"test function {self.label!r} returned shape {out.shape}, "
@@ -107,8 +126,11 @@ class TestFunction:
 
     @property
     def evaluator(self) -> Callable[[State], float | np.ndarray]:
-        """``eval_scalar`` at arity 1, else ``eval``: one loop then serves every arity."""
-        return self.eval_scalar if self.arity == 1 else self.eval
+        """``fn`` itself at arity 1, else ``eval``: one loop then serves every arity.
+
+        Arity-1 values are unconverted and unchecked; a loop passes its total to :meth:`vector`.
+        """
+        return self.fn if self.arity == 1 else self.eval
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +151,7 @@ class Ar1Model:
     def __post_init__(self) -> None:
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (0, 1)")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
 
     @property
@@ -139,8 +161,13 @@ class Ar1Model:
 
 def ar1_step(model: Ar1Model, x: float, rng: np.random.Generator) -> float:
     """One autoregressive transition.  Broadcasts over array-valued ``x``."""
+    return _ar1_move(model.phi, model.sigma, x, rng)
+
+
+def _ar1_move(phi: float, sigma: float, x: float, rng: np.random.Generator) -> float:
+    """``phi * x + sigma * W``, the one AR(1) formula; the kernel binds phi and sigma."""
     w = rng.standard_normal() if isinstance(x, float) else rng.standard_normal(np.shape(x))
-    return model.phi * x + model.sigma * w
+    return phi * x + sigma * w
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 TEST_FUNCTIONS: dict[str, TestFunction] = {
-    "identity": TestFunction(lambda x: float(x), 1, "identity"),
+    "identity": TestFunction(float, 1, "identity"),
     "square": TestFunction(lambda x: float(x) ** 2, 1, "square"),
     "abs": TestFunction(lambda x: abs(float(x)), 1, "abs"),
     "identity-and-square": TestFunction(
@@ -225,7 +225,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(
                 f"config key 'seed' from FISHYVAR_SEED must be an integer, got {env_seed!r}"
             ) from None
+    names = {f.name for f in fields(ExperimentConfig)}
     for attr, value in (overrides or {}).items():
+        if attr not in names:
+            raise ConfigError(f"override {attr!r} names no config field; known: {sorted(names)}")
         if value is None:
             continue
         if attr == "model_params" and isinstance(value, dict):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,9 +29,9 @@ from .chains import (
     FiniteChainModel,
     MarkovKernel,
     _accepts,
+    _ar1_move,
     _conditional,
     _neg2_log,
-    ar1_step,
     finite_step,
     gibbs_step,
     mrth_step,
@@ -124,11 +125,11 @@ def reflection_maximal_1d(
     chains meet); on rejection the residual is reflected, so
     (X - mu1) = -(Y - mu2).  Broadcasts over arrays of means; means that are
     not both floats (arrays, integers) take the broadcasting branch, which
-    consumes the same draws and returns arrays.
+    consumes the same draws and returns arrays.  Numpy float64 means are
+    floats, so they stay on the scalar branch.  ``sigma`` must be positive
+    (not NaN).
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if isinstance(mu1, float) and isinstance(mu2, float):
+    if isinstance(mu1, float) and isinstance(mu2, float) and sigma > 0.0:
         z = (mu1 - mu2) / sigma
         xdot = rng.standard_normal()
         w = rng.random()
@@ -137,6 +138,8 @@ def reflection_maximal_1d(
         if log_w <= -0.5 * (z + xdot) ** 2 + 0.5 * xdot**2:
             return x, x, True
         return x, mu2 - sigma * xdot, False
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
     mu1, mu2 = np.broadcast_arrays(np.asarray(mu1, float), np.asarray(mu2, float))
     z = (mu1 - mu2) / sigma
     xdot = rng.standard_normal(mu1.shape)
@@ -255,8 +258,8 @@ def coupled_gibbs_step(
 def ar1_kernel(model: Ar1Model, spec: CouplingSpec | None = None) -> CoupledKernel:
     """AR(1) kernel with reflection-maximal (default) or CRN coupling."""
     spec = spec or CouplingSpec("reflection-maximal")
-    base = MarkovKernel(1, lambda x, rng: ar1_step(model, x, rng), label="ar1")
     phi, sigma = model.phi, model.sigma
+    base = MarkovKernel(1, partial(_ar1_move, phi, sigma), label="ar1")
     if spec.kind == "reflection-maximal":
 
         def step(x, y, rng):

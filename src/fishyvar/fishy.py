@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import CoupledKernel, State, TestFunction, states_equal
+from .chains import CoupledKernel, State, TestFunction, _state_equality
 from .rng import RngStream, as_generator
 from .simulate import DEFAULT_TRANSITION_BUDGET, TransitionBudgetError, map_replicates
 
@@ -62,7 +62,8 @@ def estimate_fishy(
     ``x == y`` short-circuits to a zero estimate with zero cost.
     """
     rng = as_generator(rng)
-    if states_equal(x, y):
+    met = _state_equality(x, y)
+    if met(x, y):
         return FishyEstimate(np.zeros(h.arity), y, x, 0, 0)
     coupled = kernel.coupled_step
     hfn = h.evaluator
@@ -72,12 +73,12 @@ def estimate_fishy(
     while True:
         cx, cy = coupled(cx, cy, rng)
         tau += 1
-        if states_equal(cx, cy):
+        if met(cx, cy):
             break
         acc += hfn(cx) - hfn(cy)
         if 2 * tau >= budget:
             raise TransitionBudgetError(0, 2 * tau)
-    return FishyEstimate(np.array(acc, ndmin=1), y, x, tau, 2 * tau)
+    return FishyEstimate(h.vector(acc), y, x, tau, 2 * tau)
 
 
 def estimate_fishy_randomized(
@@ -102,7 +103,8 @@ class FishyProfile:
 
     Rows follow grid order.  ``second_moment`` is the raw second moment of the
     estimator at each point, the quantity the optimal selection probabilities
-    need; ``lookup_second_moment`` serves it by nearest grid point.
+    need; ``lookup_second_moment`` serves it by nearest grid point, the first
+    such point on ties, and ``lookup_second_moments`` serves many points at once.
     """
 
     x: np.ndarray
@@ -114,8 +116,12 @@ class FishyProfile:
     n_reps: int
 
     def lookup_second_moment(self, point: State) -> float:
-        idx = int(np.argmin(np.abs(self.x - float(point))))
-        return float(self.second_moment[idx])
+        return float(self.lookup_second_moments([point])[0])
+
+    def lookup_second_moments(self, points: Sequence[State]) -> np.ndarray:
+        """Second moment at each point's nearest grid point, from one argmin over the grid."""
+        column = np.array([float(p) for p in points])[:, None]
+        return self.second_moment[np.argmin(np.abs(self.x - column), axis=1)]
 
 
 def fishy_profile(

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .chains import CoupledKernel, State, states_equal
+from .chains import CoupledKernel, State, _state_equality
 from .rng import RngStream, as_generator
 
 __all__ = [
@@ -116,6 +116,7 @@ def run_coupled(
     rng = as_generator(rng)
     step = kernel.base.step
     coupled = kernel.coupled_step
+    met = _state_equality(x0, y0)
 
     x_path: list | None = [x0] if keep_paths else None
     y_path: list | None = [y0] if keep_paths else None
@@ -128,11 +129,8 @@ def run_coupled(
         on_y(0, y0)
 
     y = y0
-    if lag == 0 and states_equal(x0, y0):
-        tau = 0
-    else:
-        tau = None
-        while tau is None:
+    if not (lag == 0 and met(x0, y0)):
+        while True:
             x, y = coupled(x, y, rng)  # (X_{t+1}, Y_{t-lag+1})
             t += 1
             cost += 2
@@ -143,10 +141,11 @@ def run_coupled(
                 on_x(t, x)
             if on_y is not None:
                 on_y(t - lag, y)
-            if states_equal(x, y):
-                tau = t
-            elif cost >= budget:
+            if met(x, y):
+                break
+            if cost >= budget:
                 raise TransitionBudgetError(lag, cost)
+    tau = t
 
     _advance_x(step, x, t, horizon_min, rng, x_path, on_x)
     cost += max(horizon_min - t, 0)

@@ -15,8 +15,8 @@ giving max(L, ell + L - tau) + 2 (tau - L) units per estimator.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def _integral(atoms: Sequence, weights: Sequence[float], h: TestFunction) -> np.
     total = 0.0
     for z, w in zip(atoms, weights):
         total += w * hfn(z)
-    return np.array(total, ndmin=1)
+    return h.vector(total)
 
 
 def h_kl_estimator(run: CoupledRun, h: TestFunction, k: int, ell: int) -> UnbiasedEstimate:
@@ -248,10 +248,22 @@ class UniformReservoir:
 def reservoir_select(
     stream: Iterable, R: int, rng: np.random.Generator | RngStream
 ) -> np.ndarray:
-    """R independent uniform index selections from a stream, single pass."""
+    """R independent uniform index selections from a stream, single pass.
+
+    A sized sequence is not walked item by item: the reservoir jumps from one
+    due count to the next and is offered only the items that replace a slot,
+    about R (1 + ln N) of N, with the same uniforms in the same order.
+    """
     reservoir = UniformReservoir(R, as_generator(rng))
-    for item in stream:
-        reservoir.offer(item)
+    if isinstance(stream, Sequence):
+        n = len(stream)
+        while reservoir._due <= n:
+            reservoir.count = reservoir._due - 1
+            reservoir.offer(stream[reservoir.count])
+        reservoir.count = n
+    else:
+        for item in stream:
+            reservoir.offer(item)
     if reservoir.count == 0:
         raise ValueError("cannot select from an empty stream")
     return reservoir.indices.copy()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fishyvar.chains import FiniteChainModel
+from fishyvar.chains import CoupledKernel, FiniteChainModel, MarkovKernel
+from fishyvar.couplings import reflection_maximal_nd
 
 
 def random_finite_chain(rng: np.random.Generator, n_states: int = 4, d: int = 1) -> FiniteChainModel:
@@ -14,6 +15,25 @@ def random_finite_chain(rng: np.random.Generator, n_states: int = 4, d: int = 1)
     p /= p.sum(axis=1, keepdims=True)
     h = rng.uniform(-2.0, 2.0, size=(n_states, d))
     return FiniteChainModel(p, h)
+
+
+def vector_ar1_kernel(phi: float = 0.6) -> tuple[CoupledKernel, list]:
+    """AR(1) on R^2 with a reflection-maximal coupling, so states are 2-vectors.
+
+    Also returns a list that records every coupled step's output pair.
+    """
+    chol = np.array([[1.0, 0.0], [0.3, 0.8]])
+    pairs: list = []
+
+    def step(x, rng):
+        return phi * x + chol @ rng.standard_normal(2)
+
+    def coupled(x, y, rng):
+        xn, yn, _ = reflection_maximal_nd(phi * x, phi * y, chol, rng)
+        pairs.append((xn, yn))
+        return xn, yn
+
+    return CoupledKernel(MarkovKernel(2, step), coupled), pairs
 
 
 def mc_mean_se(values) -> tuple[float, float]:

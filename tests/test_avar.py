@@ -16,7 +16,7 @@ from fishyvar.avar import (
 from fishyvar.chains import Ar1Model, ModelBundle, TestFunction
 from fishyvar.couplings import ar1_kernel, finite_kernel
 from fishyvar.diagnostics import bootstrap_resample
-from fishyvar.fishy import estimate_fishy
+from fishyvar.fishy import FishyProfile, estimate_fishy
 from fishyvar.oracle import ar1_avar_exact, solve_finite
 from fishyvar.rng import RngStream
 from fishyvar.simulate import run_coupled
@@ -119,6 +119,75 @@ def test_selection_optimal_symmetric_alphas_are_uniform():
     table = lambda z: 1.0 if z == 0.0 else 4.0
     probs = selection_probs(pihat, IDENTITY, 2.0, table, "optimal")
     np.testing.assert_allclose(probs.xi, [0.5, 0.5])
+
+
+def test_optimal_profile_lookup_matches_per_atom_lookup_with_ties():
+    # unsorted grid with a repeated point and atoms halfway between points:
+    # every tie goes to the first grid index, as the per-atom lookup does
+    rng = np.random.default_rng(5)
+    grid = np.array([2.0, -1.0, 0.0, 2.0, 1.0, -3.0])
+    moments = rng.uniform(0.5, 3.0, 6)
+    table = FishyProfile(grid, np.zeros(6), np.zeros(6), moments, np.ones(6), 0.0, 2)
+    atoms = [0.5, 1.5, -0.5, -2.0, 2.0, 7.0, -9.0, 0.0] + rng.uniform(-4, 4, 200).tolist()
+    # the per-atom lookup, written out: np.argmin returns the first minimum
+    per_atom = [float(table.second_moment[np.argmin(np.abs(grid - z))]) for z in atoms]
+    assert table.lookup_second_moments(atoms).tolist() == per_atom
+    assert [table.lookup_second_moment(z) for z in atoms] == per_atom
+    assert table.lookup_second_moments([1.5, 2.0]).tolist() == [table.second_moment[0]] * 2
+    weights = rng.uniform(-1.0, 1.0, len(atoms))
+    pihat = _toy_measure(atoms, weights)
+    xi = selection_probs(pihat, IDENTITY, 0.3, table, "optimal").xi
+    # the per-atom loop that selection_probs ran before, written out
+    alpha = np.empty(len(atoms))
+    for i, (z, w) in enumerate(zip(atoms, weights)):
+        centred = w * (IDENTITY.eval_scalar(z) - 0.3)
+        alpha[i] = centred * centred * per_atom[i]
+    ref = np.sqrt(alpha)
+    ref /= ref.sum()
+    ref = np.maximum(ref, avar.SELECTION_FLOOR / len(atoms))
+    ref /= ref.sum()
+    assert xi.tobytes() == ref.tobytes()
+    # a callable table is still looked up atom by atom
+    seen = []
+    selection_probs(pihat, IDENTITY, 0.3, lambda z: seen.append(z) or 1.0, "optimal")
+    assert seen == atoms
+
+
+@pytest.mark.parametrize("wrap", [int, np.float64])
+def test_any_real_scalar_h_gives_the_values_of_eval_scalar(np_rng, wrap):
+    model = random_finite_chain(np_rng, n_states=5)
+    table = [3, -1, 0, 4, 1]
+    h = TestFunction(lambda s: wrap(table[s]), 1, "table")
+    reference = TestFunction(h.eval_scalar, 1, "through eval_scalar")
+    bundle = _finite_bundle(model)
+    for seed in range(10):
+        runs = [
+            run_coupled(bundle.kernel, 0, 3, 2, 12, RngStream(seed, i).generator()) for i in (0, 1)
+        ]
+        a, b = (signed_measure(run, 2, 12) for run in runs)
+        value = a.integrate(h)
+        assert value.dtype == np.float64 and value.tolist() == a.integrate(reference).tolist()
+        assert unbiased_target_variance(a, b, h) == unbiased_target_variance(a, b, reference)
+        est, ref = (
+            suave_multivariate(bundle, g, 2, 12, 2, 4, 0, "uniform", RngStream(seed).generator())
+            for g in (h, reference)
+        )
+        assert type(est.value) is float and est.value == ref.value
+        assert est.cost_total == ref.cost_total
+
+
+def test_arity_one_h_returning_a_vector_still_raises_in_measure_sums(np_rng):
+    model = random_finite_chain(np_rng, n_states=5)
+    two = TestFunction(lambda s: np.array([s, 2.0 * s]), 1, "two")
+    bundle = _finite_bundle(model)
+    run = run_coupled(bundle.kernel, 0, 3, 2, 12, RngStream(1).generator())
+    pihat = signed_measure(run, 2, 12)
+    with pytest.raises(ValueError, match="shape"):
+        pihat.integrate(two)
+    with pytest.raises(ValueError, match="shape"):
+        unbiased_target_variance(pihat, pihat, two)
+    with pytest.raises(ValueError, match="shape"):
+        suave_multivariate(bundle, two, 2, 12, 2, 4, 0, "uniform", RngStream(2).generator())
 
 
 def test_selection_all_zero_alpha_falls_back_to_uniform():

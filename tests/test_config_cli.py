@@ -136,6 +136,16 @@ def test_config_validation_names_keys():
         load_config(None, {"test_function": "missing"})
 
 
+@pytest.mark.parametrize("key", ["workers", "repz"])
+def test_unknown_override_names_raise_naming_the_key(key):
+    with pytest.raises(ConfigError, match=repr(key)):
+        load_config(None, {key: 3})
+    with pytest.raises(ConfigError, match=repr(key)):
+        load_config(None, {"reps": 7, key: None})
+    with pytest.raises(ConfigError, match="'workers'"):
+        load_config(None, {"workers": 2, "repz": 3})
+
+
 @pytest.mark.parametrize(
     "yaml_text, key",
     [

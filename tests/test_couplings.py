@@ -11,6 +11,7 @@ from fishyvar.chains import (
     Ar1Model,
     CauchyNormalModel,
     FiniteChainModel,
+    ar1_step,
     finite_step,
     gibbs_step,
     mrth_step,
@@ -190,6 +191,39 @@ def test_reflection_nd_reduces_to_1d_with_same_stream():
             np.array([0.7]), np.array([-1.2]), np.array([[1.3]]), RngStream(seed).generator()
         )
         assert x1 == xn[0] and y1 == yn[0] and met1 == metn
+
+
+def test_ar1_kernel_steps_are_ar1_step_and_the_reflection_coupling():
+    # the kernel binds phi and sigma but runs the one formula and the one coupling
+    model = Ar1Model(0.9, 1.7)
+    kernel = ar1_kernel(model)
+    for seed in range(20):
+        for x in (0.4, np.float64(-2.5), np.array([0.3, -1.0])):
+            a, b = RngStream(seed).generator(), RngStream(seed).generator()
+            np.testing.assert_array_equal(kernel.base.step(x, a), ar1_step(model, x, b))
+            assert type(kernel.base.step(x, a)) is type(ar1_step(model, x, b))
+        a, b = RngStream(seed).generator(), RngStream(seed).generator()
+        xn, yn = kernel.coupled_step(0.4, -3.0, a)
+        assert (xn, yn) == reflection_maximal_1d(0.9 * 0.4, 0.9 * -3.0, 1.7, b)[:2]
+
+
+def test_reflection_takes_the_scalar_branch_for_numpy_floats():
+    for seed in range(20):
+        plain = reflection_maximal_1d(0.7, -1.2, 1.3, RngStream(seed).generator())
+        numpy_floats = reflection_maximal_1d(
+            np.float64(0.7), np.float64(-1.2), 1.3, RngStream(seed).generator()
+        )
+        assert numpy_floats == plain
+        assert not any(isinstance(v, np.ndarray) for v in numpy_floats)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_nonpositive_sigma_still_raises(sigma):
+    for mu1, mu2 in ((0.0, 1.0), (np.float64(0.0), np.float64(1.0)), (np.zeros(3), np.ones(3))):
+        with pytest.raises(ValueError, match="sigma"):
+            reflection_maximal_1d(mu1, mu2, sigma, RngStream(1).generator())
+    with pytest.raises(ValueError, match="sigma"):
+        ar1_kernel(Ar1Model(0.5, sigma))
 
 
 def test_reflection_nd_equal_means_meet():

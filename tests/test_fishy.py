@@ -8,7 +8,7 @@ from fishyvar.oracle import ar1_fishy_exact, solve_finite
 from fishyvar.rng import RngStream
 from fishyvar.simulate import TransitionBudgetError, run_coupled
 
-from conftest import mc_mean_se, random_finite_chain
+from conftest import mc_mean_se, random_finite_chain, vector_ar1_kernel
 
 IDENTITY = TestFunction(lambda x: float(x), 1, "identity")
 
@@ -31,6 +31,51 @@ def test_budget_abort():
     with pytest.raises(TransitionBudgetError) as info:
         estimate_fishy(broken, IDENTITY, 0.0, 5.0, RngStream(5).generator(), budget=100)
     assert info.value.transitions == 100
+
+
+@pytest.mark.parametrize(
+    "h", [TestFunction(lambda x: x[0], 1, "first"), TestFunction(lambda x: x, 2, "both")]
+)
+def test_vector_states_meet_at_exact_equality_and_stop(h):
+    kernel, pairs = vector_ar1_kernel()
+    x, y = np.array([3.0, -2.0]), np.array([-1.0, 4.0])
+    for seed in range(20):
+        pairs.clear()
+        est = estimate_fishy(kernel, h, x, y, RngStream(seed).generator())
+        assert len(pairs) == est.tau >= 1 and est.cost_units == 2 * est.tau
+        assert all(not np.array_equal(a, b) for a, b in pairs[:-1])
+        assert np.array_equal(*pairs[-1])
+        expected = h.eval(x) - h.eval(y)
+        for a, b in pairs[:-1]:
+            expected = expected + h.eval(a) - h.eval(b)
+        assert est.value.shape == (h.arity,)
+        np.testing.assert_allclose(est.value, expected, rtol=1e-12, atol=1e-12)
+    equal = estimate_fishy(kernel, h, x, x.copy(), RngStream(0).generator())
+    assert equal.tau == 0 and np.array_equal(equal.value, np.zeros(h.arity))
+
+
+@pytest.mark.parametrize("wrap", [int, np.float64, np.int64, bool])
+def test_any_real_scalar_h_gives_the_float_values_of_eval_scalar(np_rng, wrap):
+    model = random_finite_chain(np_rng, n_states=5)
+    table = [3, -1, 0, 4, 1] if wrap is not bool else [True, False, True, True, False]
+    h = TestFunction(lambda s: wrap(table[s]), 1, "table")
+    reference = TestFunction(h.eval_scalar, 1, "through eval_scalar")
+    kernel = finite_kernel(model)
+    for seed in range(30):
+        est = estimate_fishy(kernel, h, 0, 3, RngStream(seed).generator())
+        ref = estimate_fishy(kernel, reference, 0, 3, RngStream(seed).generator())
+        assert est.value.dtype == np.float64 and est.value.shape == (1,)
+        assert est.value.tolist() == ref.value.tolist() and est.tau == ref.tau
+
+
+def test_arity_one_h_returning_a_vector_still_raises():
+    kernel = ar1_kernel(Ar1Model(0.5))
+    two = TestFunction(lambda x: np.array([x, 2.0 * x]), 1, "two")
+    with pytest.raises(ValueError, match="shape"):
+        estimate_fishy(kernel, two, 0.0, 5.0, RngStream(1).generator())
+    pair = TestFunction(lambda x: (x, 2.0 * x), 1, "pair")
+    with pytest.raises((TypeError, ValueError)):
+        estimate_fishy(kernel, pair, 0.0, 5.0, RngStream(1).generator())
 
 
 def test_constant_test_function_gives_zero():

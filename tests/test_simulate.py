@@ -14,7 +14,7 @@ from fishyvar.simulate import (
     sample_meetings,
 )
 
-from conftest import random_finite_chain
+from conftest import random_finite_chain, vector_ar1_kernel
 
 
 def _iid_rows_model(p):
@@ -123,6 +123,22 @@ def test_warmup_consumes_exactly_lag_transitions():
     assert calls["single"] == lag
     assert calls["coupled"] == 1
     assert run.meeting_time == lag + 1
+
+
+@pytest.mark.parametrize("lag", [0, 1, 4])
+def test_vector_states_meet_at_exact_equality_and_stop(lag):
+    # ndarray states need an elementwise test; plain == on 2-vectors would raise
+    kernel, pairs = vector_ar1_kernel()
+    for seed in range(20):
+        pairs.clear()
+        x0, y0 = np.array([3.0, -2.0]), np.array([-1.0, 4.0])
+        run = run_coupled(kernel, x0, y0, lag, 0, RngStream(seed).generator())
+        tau = run.meeting_time
+        assert len(pairs) == tau - lag >= 1
+        assert all(not np.array_equal(x, y) for x, y in pairs[:-1])
+        assert np.array_equal(*pairs[-1])
+        assert np.array_equal(run.x_path[tau], run.y_path[tau - lag])
+        assert run.cost_units == lag + 2 * (tau - lag)
 
 
 @pytest.mark.parametrize("lag", [0, 1, 3])

@@ -14,6 +14,7 @@ from fishyvar.rng import RngStream
 from fishyvar.simulate import CoupledRun, run_coupled
 from fishyvar.umcmc import (
     SignedMeasure,
+    UniformReservoir,
     h_kl_estimator,
     pilot_tuning,
     reservoir_select,
@@ -353,6 +354,37 @@ def test_reservoir_skip_ahead_draws_logarithmically_many_uniforms():
     assert picks.shape == (R,) and np.all((0 <= picks) & (picks < n))
     # each slot is replaced about H_n ~ ln n times, far from one draw per item
     assert rng.uniforms <= 2 * R * (1 + np.log(n))
+
+
+@pytest.mark.parametrize("n", [1, 50, 10**4])
+def test_reservoir_over_a_sequence_matches_a_single_pass(monkeypatch, n):
+    # a sized sequence is jumped through, an iterator walked; both must select
+    # the same indices with the same uniforms, so the next draw agrees too
+    R = 50
+    offers = []
+    offer = UniformReservoir.offer
+
+    def counting_offer(self, item):
+        offers.append(item)
+        offer(self, item)
+
+    monkeypatch.setattr(UniformReservoir, "offer", counting_offer)
+    items = [f"atom {i}" for i in range(n)]
+    for make_rng in (lambda: RngStream(12).generator(), lambda: np.random.default_rng(12)):
+        jumped_rng, walked_rng = make_rng(), make_rng()
+        offers.clear()
+        jumped = reservoir_select(items, R, jumped_rng)
+        jumped_offers = list(offers)
+        walked = reservoir_select(iter(items), R, walked_rng)
+        assert jumped.tolist() == walked.tolist()
+        assert jumped_rng.random() == walked_rng.random()
+        # the walk offers every item; the jumps only items that replace a slot,
+        # in stream order, about R (1 + ln n) of them
+        assert len(offers) - len(jumped_offers) == n
+        offered = [items.index(item) for item in jumped_offers]
+        assert offered[0] == 0 and offered == sorted(set(offered))
+        assert set(jumped.tolist()) <= set(offered)
+        assert len(offered) <= 2 * R * (1 + np.log(n))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from .avar import (
     AvarEstimate,
     EpaveEstimate,
     InefficiencySummary,
-    SelectionProbs,
     epave,
     inefficiency,
     sample_suave,
@@ -36,7 +35,6 @@ from .chains import (
 )
 from .config import ExperimentConfig, build_bundle, build_model, finite_chain_from_csv, load_config
 from .couplings import (
-    CouplingSpec,
     MaximalCouplingCapError,
     ar1_kernel,
     cauchy_gibbs_kernel,
@@ -76,6 +74,7 @@ from .simulate import (
 )
 from .umcmc import (
     PilotTuning,
+    SelectionProbs,
     SignedMeasure,
     UnbiasedEstimate,
     h_kl_estimator,

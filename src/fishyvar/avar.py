@@ -32,11 +32,10 @@ from .diagnostics import bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
 from .simulate import replicates, run_coupled
-from .umcmc import SignedMeasure, _categorical, reservoir_select, signed_measure
+from .umcmc import SelectionProbs, SignedMeasure, _categorical, reservoir_select, signed_measure
 
 __all__ = [
     "AvarEstimate",
-    "SelectionProbs",
     "EpaveEstimate",
     "InefficiencySummary",
     "unbiased_target_variance",
@@ -75,24 +74,6 @@ class AvarEstimate:
     @property
     def scalar(self) -> float:
         return float(np.ravel(self.value)[0])
-
-
-@dataclass(frozen=True)
-class SelectionProbs:
-    """Strictly positive atom-selection probabilities summing to one."""
-
-    xi: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim != 1 or xi.size == 0:
-            raise ValueError("xi must be a nonempty vector")
-        if np.any(xi <= 0.0):
-            raise ValueError("selection probabilities must be strictly positive")
-        if abs(float(xi.sum()) - 1.0) > 1e-12:
-            raise ValueError("selection probabilities must sum to 1 within 1e-12")
-        object.__setattr__(self, "xi", xi)
 
 
 def unbiased_target_variance(

@@ -30,7 +30,6 @@ from .chains import (
     TestFunction,
 )
 from .couplings import (
-    CouplingSpec,
     ar1_kernel,
     cauchy_gibbs_kernel,
     cauchy_mrth_kernel,
@@ -330,8 +329,7 @@ def bundle_for(cfg: ExperimentConfig, model) -> tuple[ModelBundle, TestFunction]
     """The bundle and test function of a model that :func:`build_model` built."""
     entry = MODELS[cfg.model]
     try:
-        spec = CouplingSpec(cfg.coupling_kind) if cfg.coupling_kind else None
-        kernel = entry.kernel(model, spec)
+        kernel = entry.kernel(model, cfg.coupling_kind)
     except ValueError as exc:
         raise ConfigError(f"config section 'coupling': {exc}") from exc
     return ModelBundle(kernel, entry.init(model), cfg.model), resolve_test_function(cfg, model)
@@ -378,7 +376,7 @@ class ModelEntry:
     """How one built-in model is built from the ``model`` section, coupled and started."""
 
     build: Callable[[ExperimentConfig, dict], object]  # pops its keys, with defaults
-    kernel: Callable[[object, CouplingSpec | None], CoupledKernel]
+    kernel: Callable[[object, str | None], CoupledKernel]  # (model, coupling kind or default)
     init: Callable[[object], Callable[[np.random.Generator], object]]  # model -> initial law
     state: type  # int for state indices, float for continuous states
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -38,7 +37,6 @@ from .chains import (
 )
 
 __all__ = [
-    "CouplingSpec",
     "MaximalCouplingCapError",
     "maximal_coupling",
     "reflection_maximal_1d",
@@ -53,12 +51,6 @@ __all__ = [
 
 DEFAULT_REJECTION_CAP = 10**7
 
-COUPLING_KINDS = (
-    "maximal-rejection",
-    "reflection-maximal",
-    "common-random-numbers",
-)
-
 
 class MaximalCouplingCapError(RuntimeError):
     """The rejection loop of the maximal coupling exceeded its iteration cap.
@@ -67,24 +59,12 @@ class MaximalCouplingCapError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Choice of coupling construction, selectable per model in configs."""
-
-    kind: str = "reflection-maximal"
-
-    def __post_init__(self) -> None:
-        if self.kind not in COUPLING_KINDS:
-            raise ValueError(f"unknown coupling kind {self.kind!r}; valid: {COUPLING_KINDS}")
-
-
 def maximal_coupling(
     log_p: Callable,
     sample_p: Callable[[np.random.Generator], object],
     log_q: Callable,
     sample_q: Callable[[np.random.Generator], object],
     rng: np.random.Generator,
-    max_rejections: int = DEFAULT_REJECTION_CAP,
 ) -> tuple[object, object, bool]:
     """Draw (X, Y) from a maximal coupling of two distributions.
 
@@ -92,8 +72,9 @@ def maximal_coupling(
     variation distance between them.  Densities are supplied in log form and
     may be with respect to any common dominating measure (pmfs work too).
 
-    The rejection phase has unbounded cost in principle; `max_rejections`
-    turns a pathological loop into a diagnosable failure.  The bounded-variance
+    The rejection phase has unbounded cost in principle; a cap of
+    ``DEFAULT_REJECTION_CAP`` iterations, read when the coupling runs, turns a
+    pathological loop into a diagnosable failure.  The bounded-variance
     variant of this sampler is a known extension point, not implemented here.
     """
     x = sample_p(rng)
@@ -101,14 +82,14 @@ def maximal_coupling(
     log_w = math.log(w) if w > 0.0 else -math.inf
     if log_w <= log_q(x) - log_p(x):
         return x, x, True
-    for _ in range(max_rejections):
+    for _ in range(DEFAULT_REJECTION_CAP):
         y = sample_q(rng)
         w = rng.random()
         log_w = math.log(w) if w > 0.0 else -math.inf
         if log_w > log_p(y) - log_q(y):
             return x, y, False
     raise MaximalCouplingCapError(
-        f"maximal coupling rejection loop exceeded {max_rejections} iterations; "
+        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations; "
         "the density ratio is likely near-singular"
     )
 
@@ -172,7 +153,7 @@ def reflection_maximal_nd(
     if np.any(np.abs(np.diag(chol)) < 1e-300):
         raise ValueError("chol_sigma is not invertible")
     d = chol.shape[0]
-    xdot = rng.standard_normal(d)
+    xdot = np.array([rng.standard_normal() for _ in range(d)])
     w = rng.random()
     x = chol @ xdot + mu1
     if np.array_equal(mu1, mu2):
@@ -255,47 +236,46 @@ def coupled_gibbs_step(
 # ---------------------------------------------------------------------------
 
 
-def ar1_kernel(model: Ar1Model, spec: CouplingSpec | None = None) -> CoupledKernel:
+def _coupling_kind(model: str, kind: str | None, kinds: tuple[str, ...]) -> str:
+    """``kind``, or the model's default ``kinds[0]`` when it is None."""
+    if kind is None:
+        return kinds[0]
+    if kind not in kinds:
+        raise ValueError(f"coupling kind {kind!r} not available for {model}; valid: {kinds}")
+    return kind
+
+
+def ar1_kernel(model: Ar1Model, kind: str | None = None) -> CoupledKernel:
     """AR(1) kernel with reflection-maximal (default) or CRN coupling."""
-    spec = spec or CouplingSpec("reflection-maximal")
+    kind = _coupling_kind("ar1", kind, ("reflection-maximal", "common-random-numbers"))
     phi, sigma = model.phi, model.sigma
     base = MarkovKernel(1, partial(_ar1_move, phi, sigma), label="ar1")
-    if spec.kind == "reflection-maximal":
+    if kind == "reflection-maximal":
 
         def step(x, y, rng):
             xn, yn, _ = reflection_maximal_1d(phi * x, phi * y, sigma, rng)
             return xn, yn
 
-    elif spec.kind == "common-random-numbers":
+    else:
         # Contracts |x - y| by phi each step; exact meetings only once the gap
         # underflows, so prefer reflection-maximal for estimator work.
         def step(x, y, rng):
             w = rng.standard_normal()
             return phi * x + sigma * w, phi * y + sigma * w
 
-    else:
-        raise ValueError(f"coupling kind {spec.kind!r} not available for ar1")
     return CoupledKernel(base, step)
 
 
-def cauchy_gibbs_kernel(
-    model: CauchyNormalModel, spec: CouplingSpec | None = None
-) -> CoupledKernel:
+def cauchy_gibbs_kernel(model: CauchyNormalModel, kind: str | None = None) -> CoupledKernel:
     """Gibbs kernel for the Cauchy posterior, CRN auxiliaries + maximal update."""
-    spec = spec or CouplingSpec("common-random-numbers")
-    if spec.kind != "common-random-numbers":
-        raise ValueError(f"coupling kind {spec.kind!r} not available for cauchy-gibbs")
+    _coupling_kind("cauchy-gibbs", kind, ("common-random-numbers",))
     base = MarkovKernel(1, lambda t, rng: gibbs_step(model, t, rng), label="cauchy-gibbs")
     return CoupledKernel(base, lambda x, y, rng: coupled_gibbs_step(model, x, y, rng))
 
 
-def cauchy_mrth_kernel(
-    model: CauchyNormalModel, spec: CouplingSpec | None = None
-) -> CoupledKernel:
+def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> CoupledKernel:
     """MRTH kernel for the Cauchy posterior with reflection-coupled proposals."""
-    spec = spec or CouplingSpec("reflection-maximal")
-    if spec.kind != "reflection-maximal":
-        raise ValueError(f"coupling kind {spec.kind!r} not available for cauchy-mrth")
+    _coupling_kind("cauchy-mrth", kind, ("reflection-maximal",))
     logdensity = model.log_density
     sd = model.mrth_proposal_sd
     base = MarkovKernel(1, lambda t, rng: mrth_step(logdensity, sd, t, rng), label="cauchy-mrth")
@@ -307,14 +287,14 @@ def cauchy_mrth_kernel(
     return CoupledKernel(base, step)
 
 
-def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> CoupledKernel:
+def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKernel:
     """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN."""
-    spec = spec or CouplingSpec("maximal-rejection")
+    kind = _coupling_kind("finite", kind, ("maximal-rejection", "common-random-numbers"))
     base = MarkovKernel(1, lambda s, rng: finite_step(model, s, rng), label="finite")
     # Python-float rows: bisect and scalar products beat numpy calls on short rows
     p = model.transition_matrix.tolist()
     cum = model._cumulative_rows
-    if spec.kind == "maximal-rejection":
+    if kind == "maximal-rejection":
         # The rejection maximal coupling specialized to pmf rows, with the
         # same draw sequence and accept rule as `maximal_coupling` (the ratio
         # test w <= q/p becomes w * p <= q, exact for probabilities).
@@ -335,12 +315,10 @@ def finite_kernel(model: FiniteChainModel, spec: CouplingSpec | None = None) -> 
                 f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
             )
 
-    elif spec.kind == "common-random-numbers":
+    else:
 
         def step(x, y, rng):
             u = rng.random()
             return bisect_right(cum[x], u), bisect_right(cum[y], u)
 
-    else:
-        raise ValueError(f"coupling kind {spec.kind!r} not available for finite chains")
     return CoupledKernel(base, step)

@@ -154,6 +154,8 @@ def bootstrap_resample(
     size does not change the indices: a (b1 + b2, n) block draws the same
     integers as a b1 block followed by a b2 block.
     """
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be at least 1")
     rng = as_generator(rng)
     block = max(1, _BLOCK_INDICES // n)
     rows = []

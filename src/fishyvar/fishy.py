@@ -143,6 +143,8 @@ def fishy_profile(
     if h.arity != 1:
         raise ValueError("fishy_profile expects a scalar test function")
     points = list(grid)  # raw states: ints for finite chains, floats otherwise
+    if not points:
+        raise ValueError("grid must hold at least one point")
 
     def one_point(args) -> tuple[float, float, float, float]:
         point, child = args

@@ -108,7 +108,7 @@ def fishy_series(model: FiniteChainModel) -> np.ndarray:
     """
     p = model.transition_matrix
     h = model.h_values
-    pi = solve_finite_pi(model)
+    pi = _stationary(p)
     term = h - pi @ h
     total = term.copy()
     small = 0
@@ -124,14 +124,9 @@ def fishy_series(model: FiniteChainModel) -> np.ndarray:
     raise RuntimeError("fishy power series did not converge")
 
 
-def solve_finite_pi(model: FiniteChainModel) -> np.ndarray:
-    """Stationary distribution only (shared by both oracles)."""
-    return _stationary(model.transition_matrix)
-
-
 def solve_finite_series(model: FiniteChainModel) -> OracleSolution:
     """Second oracle: same quantities with the series-based fishy function."""
-    pi = solve_finite_pi(model)
+    pi = _stationary(model.transition_matrix)
     h = model.h_values
     pi_h = pi @ h
     g = fishy_series(model)

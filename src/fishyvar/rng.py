@@ -10,19 +10,17 @@ worker scheduling.
 
 Block serving.  A kernel transition draws one or two scalars, and numpy's
 per-call overhead is a large share of a cheap step.  The generator a stream
-builds therefore serves ``standard_normal()`` and ``random()`` from per-kind
-blocks of Python floats drawn in bulk from the same Philox stream.  Blocks
-start at 16 values and double up to 1024, so a short replicate draws little
-ahead.  A request for an integer number of values, at most 64, takes the
-next values of the same block, so the k-th normal (or uniform) of a stream
-is the same whether it is drawn alone or inside such an array:
-``rng.standard_normal(3)`` equals three ``rng.standard_normal()`` calls.
-Every other request (larger or tuple sizes, ``out=``, another dtype) and
-every other method, ``integers`` included, passes straight to numpy and
-draws from the stream past the values already buffered.  Each Philox output
-is still used once, so the distributions are numpy's; the interleaving of
-normals and uniforms in the stream differs from unbuffered draws.  A
-generator passed in by a caller is used as is.
+builds therefore serves ``standard_normal()`` and ``random()`` with no
+arguments from per-kind blocks of Python floats drawn in bulk from the same
+Philox stream.  Blocks start at 16 values and double up to 1024, so a short
+replicate draws little ahead.  Every other request (any ``size``, ``out=``,
+another dtype) and every other method, ``integers`` included, passes
+straight to numpy and draws from the stream past the values already
+buffered; code that needs the k-th value of a kind to be the same however
+it is drawn asks for scalars.  Each Philox output is still used once, so
+the distributions are numpy's; the interleaving of normals and uniforms in
+the stream differs from unbuffered draws.  A generator passed in by a
+caller is used as is.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ _WORD = 2**64
 
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
-_MAX_SERVED = 64  # largest array request served from a block
 _F64 = np.float64
 _Generator = np.random.Generator
 _NORMAL, _UNIFORM = 0, 1
@@ -67,7 +64,7 @@ class _StreamKey(ISeedSequence):
 
 
 class _BlockGenerator(_Generator):
-    """Philox generator serving scalar and small-array float draws from blocks.
+    """Philox generator serving scalar float draws from blocks.
 
     ``_normals`` and ``_uniforms`` hold the buffered values in reverse stream
     order, so ``pop()`` serves the next one.
@@ -82,25 +79,19 @@ class _BlockGenerator(_Generator):
         self._block_sizes = [_FIRST_BLOCK, _FIRST_BLOCK]
 
     def standard_normal(self, size=None, dtype=_F64, out=None):
-        if dtype is _F64 and out is None:
-            if size is None:
-                try:
-                    return self._normals.pop()
-                except IndexError:
-                    return self._refill(self._normals, _NORMAL).pop()
-            if type(size) is int and 0 < size <= _MAX_SERVED:
-                return self._take(self._normals, _NORMAL, size)
+        if size is None and dtype is _F64 and out is None:
+            try:
+                return self._normals.pop()
+            except IndexError:
+                return self._refill(self._normals, _NORMAL).pop()
         return _Generator.standard_normal(self, size, dtype, out)
 
     def random(self, size=None, dtype=_F64, out=None):
-        if dtype is _F64 and out is None:
-            if size is None:
-                try:
-                    return self._uniforms.pop()
-                except IndexError:
-                    return self._refill(self._uniforms, _UNIFORM).pop()
-            if type(size) is int and 0 < size <= _MAX_SERVED:
-                return self._take(self._uniforms, _UNIFORM, size)
+        if size is None and dtype is _F64 and out is None:
+            try:
+                return self._uniforms.pop()
+            except IndexError:
+                return self._refill(self._uniforms, _UNIFORM).pop()
         return _Generator.random(self, size, dtype, out)
 
     def _refill(self, buf: list, kind: int) -> list:
@@ -108,16 +99,6 @@ class _BlockGenerator(_Generator):
         self._block_sizes[kind] = min(2 * size, _MAX_BLOCK)
         buf.extend(_BULK_DRAWS[kind](self, size).tolist()[::-1])
         return buf
-
-    def _take(self, buf: list, kind: int, n: int) -> np.ndarray:
-        values = buf[: -n - 1 : -1]  # up to n values, in stream order
-        del buf[-n:]
-        while len(values) < n:
-            self._refill(buf, kind)
-            k = n - len(values)
-            values += buf[: -k - 1 : -1]
-            del buf[-k:]
-        return np.array(values)
 
     def __reduce__(self):
         # numpy's own reduce would rebuild a plain Generator and drop the blocks

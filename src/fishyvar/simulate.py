@@ -188,8 +188,6 @@ def sample_meetings(
     X_0 and Y_0 are drawn independently from ``init_sampler``.  Results are
     ordered by replicate index.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
 
     def body(rng: np.random.Generator) -> MeetingSample:
         x0 = init_sampler(rng)
@@ -215,6 +213,8 @@ def replicates(
     Replicate r draws from a fresh generator of ``stream.child(r)``, so its
     result depends only on the stream and r, never on the worker count.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be at least 1")
     # map_replicates is read at call time, so a tracer that rebinds it sees every replicate
     return map_replicates(lambda child: body(child.generator()), stream.children(n_reps), n_workers)
 

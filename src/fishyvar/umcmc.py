@@ -26,6 +26,7 @@ from .simulate import CoupledRun, replicates, run_coupled
 
 __all__ = [
     "SignedMeasure",
+    "SelectionProbs",
     "UnbiasedEstimate",
     "PilotTuning",
     "vt_weight",
@@ -186,22 +187,37 @@ def subsample_estimator(
     if xi is None:
         xi = np.full(n, 1.0 / n)
     else:
-        xi = np.asarray(xi, dtype=float)
+        xi = SelectionProbs(xi, "given").xi
         if xi.shape != (n,):
             raise ValueError("xi must have one probability per atom")
-        if np.any(xi <= 0.0):
-            raise ValueError("selection probabilities must be strictly positive")
-        if abs(xi.sum() - 1.0) > 1e-9:
-            raise ValueError("selection probabilities must sum to 1 within 1e-9")
     indices = _categorical(xi, R, rng)
     atoms = [pihat.atoms[i] for i in indices]
     return _integral(atoms, (pihat.weights[indices] / xi[indices]).tolist(), h) / R
 
 
+@dataclass(frozen=True)
+class SelectionProbs:
+    """Strictly positive atom-selection probabilities summing to one."""
+
+    xi: np.ndarray
+    kind: str
+
+    def __post_init__(self) -> None:
+        xi = np.asarray(self.xi, dtype=float)
+        if xi.ndim != 1 or xi.size == 0:
+            raise ValueError("xi must be a nonempty vector")
+        if np.any(xi <= 0.0):
+            raise ValueError("selection probabilities must be strictly positive")
+        if abs(float(xi.sum()) - 1.0) > 1e-12:
+            raise ValueError("selection probabilities must sum to 1 within 1e-12")
+        object.__setattr__(self, "xi", xi)
+
+
 def _categorical(xi: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` independent indices drawn with probabilities ``xi``, one uniform each."""
     cum = np.cumsum(xi)
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(size), side="right")
+    return np.searchsorted(cum, [rng.random() for _ in range(size)], side="right")
 
 
 class UniformReservoir:

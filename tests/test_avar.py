@@ -545,3 +545,8 @@ def test_inefficiency_variance_interval_stays_nonnegative():
 def test_inefficiency_requires_two_replicates():
     with pytest.raises(ValueError):
         inefficiency(_fake_estimates([1.0], [1]))
+
+
+def test_inefficiency_requires_a_resample():
+    with pytest.raises(ValueError, match="n_resamples"):
+        inefficiency(_fake_estimates([1.0, 2.0], [1, 1]), n_resamples=0)

@@ -19,7 +19,7 @@ from fishyvar.chains import (
     mrth_step,
     sample_eta,
 )
-from fishyvar.couplings import CouplingSpec, finite_kernel
+from fishyvar.couplings import finite_kernel
 from fishyvar.rng import RngStream
 
 from conftest import batch_se, random_finite_chain
@@ -256,7 +256,7 @@ def test_finite_samplers_stay_in_support_when_row_sums_round_low(trailing_zero):
     for s in range(n):
         assert p[s, finite_step(model, s, rng)] > 0.0
     for kind in ("maximal-rejection", "common-random-numbers"):
-        step = finite_kernel(model, CouplingSpec(kind)).coupled_step
+        step = finite_kernel(model, kind).coupled_step
         for x in range(n):
             for y in range(n):
                 nx, ny = step(x, y, rng)

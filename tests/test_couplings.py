@@ -17,7 +17,6 @@ from fishyvar.chains import (
     mrth_step,
 )
 from fishyvar.couplings import (
-    CouplingSpec,
     MaximalCouplingCapError,
     ar1_kernel,
     cauchy_gibbs_kernel,
@@ -86,8 +85,9 @@ def test_maximal_coupling_meeting_rate_matches_overlap():
     assert stats.kstest(ys, "norm", args=(2.0, 1.0)).pvalue > 1e-3
 
 
-def test_maximal_coupling_rejection_cap_raises():
+def test_maximal_coupling_rejection_cap_raises(monkeypatch):
     # q concentrated far from p with a tiny cap forces the failure path
+    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 50)
     log_p, sample_p = _normal_args(0.0, 1.0)
     log_q, sample_q = _normal_args(50.0, 1.0)
 
@@ -106,15 +106,15 @@ def test_maximal_coupling_rejection_cap_raises():
                 return 1.0
             return 0.0
 
-    with pytest.raises(MaximalCouplingCapError):
-        maximal_coupling(log_p, sample_p, log_q, sample_q, _AlwaysReject(), max_rejections=50)
+    with pytest.raises(MaximalCouplingCapError, match="50 iterations"):
+        maximal_coupling(log_p, sample_p, log_q, sample_q, _AlwaysReject())
 
 
 def test_finite_maximal_rejection_cap_raises(monkeypatch):
     # the cap is read when the step runs, so a lowered module constant applies
     monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 50)
     model = FiniteChainModel(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.0, 1.0]))
-    step = finite_kernel(model, CouplingSpec("maximal-rejection")).coupled_step
+    step = finite_kernel(model, "maximal-rejection").coupled_step
 
     class _AlwaysReject:
         calls = 0
@@ -129,6 +129,33 @@ def test_finite_maximal_rejection_cap_raises(monkeypatch):
     with pytest.raises(MaximalCouplingCapError, match="50 iterations"):
         step(0, 1, rng)
     assert rng.calls == 2 + 2 * 50
+
+
+def test_cauchy_gibbs_rejection_cap_is_read_when_the_step_runs(monkeypatch):
+    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 50)
+    model = CauchyNormalModel()
+    n_obs = len(model.observations)
+
+    class _Stall:
+        uniforms = 0
+
+        def standard_normal(self):
+            return 0.0
+
+        def random(self):
+            # shared auxiliaries, then 1.0 fails the overlap test at X = m1 (far
+            # from m2), and 0.0 rejects every residual proposal for Y
+            self.uniforms += 1
+            if self.uniforms > n_obs + 1 + 1000:
+                raise AssertionError("the patched rejection cap was not applied")
+            if self.uniforms <= n_obs:
+                return 0.5
+            return 1.0 if self.uniforms == n_obs + 1 else 0.0
+
+    rng = _Stall()
+    with pytest.raises(MaximalCouplingCapError, match="50 iterations"):
+        coupled_gibbs_step(model, -8.0, 17.0, rng)
+    assert rng.uniforms == n_obs + 1 + 50
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +522,7 @@ def test_finite_draw_sequence_matches_array_reference(np_rng, n_states):
         want = [single(x, rng_ref) for x, _ in pairs]
         assert got == want
         for kind, reference in (("maximal-rejection", maximal), ("common-random-numbers", crn)):
-            step = finite_kernel(model, CouplingSpec(kind)).coupled_step
+            step = finite_kernel(model, kind).coupled_step
             got = [step(x, y, rng) for x, y in pairs]
             want = [reference(x, y, rng_ref) for x, y in pairs]
             assert got == want
@@ -505,22 +532,47 @@ def test_finite_draw_sequence_matches_array_reference(np_rng, n_states):
 
 def test_coupling_spec_validation(np_rng):
     with pytest.raises(ValueError):
-        CouplingSpec("nonsense")
+        ar1_kernel(Ar1Model(0.5), "nonsense")
     with pytest.raises(ValueError):
-        ar1_kernel(Ar1Model(0.5), CouplingSpec("maximal-rejection"))
+        ar1_kernel(Ar1Model(0.5), "maximal-rejection")
     with pytest.raises(ValueError):
-        finite_kernel(random_finite_chain(np_rng), CouplingSpec("reflection-maximal"))
+        finite_kernel(random_finite_chain(np_rng), "reflection-maximal")
+
+
+_ALL_KINDS = ("maximal-rejection", "reflection-maximal", "common-random-numbers")
+
+
+@pytest.mark.parametrize(
+    "factory, model, name, kinds",
+    [
+        (ar1_kernel, Ar1Model(0.5), "ar1", ("reflection-maximal", "common-random-numbers")),
+        (cauchy_gibbs_kernel, CauchyNormalModel(), "cauchy-gibbs", ("common-random-numbers",)),
+        (cauchy_mrth_kernel, CauchyNormalModel(), "cauchy-mrth", ("reflection-maximal",)),
+        (
+            finite_kernel,
+            FiniteChainModel(np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros(2)),
+            "finite",
+            ("maximal-rejection", "common-random-numbers"),
+        ),
+    ],
+)
+def test_unknown_coupling_kind_names_the_model_and_lists_its_kinds(factory, model, name, kinds):
+    for kind in kinds:
+        factory(model, kind)
+    with pytest.raises(ValueError, match=f"'bogus' not available for {name};") as info:
+        factory(model, "bogus")
+    assert {k for k in _ALL_KINDS if k in str(info.value)} == set(kinds)
 
 
 def test_crn_ar1_coupling_shares_noise():
-    kernel = ar1_kernel(Ar1Model(0.5, 1.0), CouplingSpec("common-random-numbers"))
+    kernel = ar1_kernel(Ar1Model(0.5, 1.0), "common-random-numbers")
     x, y = kernel.coupled_step(0.0, 4.0, RngStream(19).generator())
     assert (y - x) == pytest.approx(0.5 * 4.0)
 
 
 def test_finite_crn_coupling_is_faithful(np_rng):
     model = random_finite_chain(np_rng)
-    kernel = finite_kernel(model, CouplingSpec("common-random-numbers"))
+    kernel = finite_kernel(model, "common-random-numbers")
     rng = RngStream(20).generator()
     for s in range(model.n_states):
         a, b = kernel.coupled_step(s, s, rng)

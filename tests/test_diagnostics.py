@@ -162,3 +162,8 @@ def test_bootstrap_coverage_calibration():
 def test_bootstrap_requires_two_values():
     with pytest.raises(ValueError):
         bootstrap_ci([1.0])
+
+
+def test_bootstrap_requires_a_resample():
+    with pytest.raises(ValueError, match="n_resamples"):
+        bootstrap_ci([1.0, 2.0], n_resamples=0)

@@ -227,3 +227,9 @@ def test_profile_requires_replication():
     kernel = ar1_kernel(Ar1Model(0.5))
     with pytest.raises(ValueError):
         fishy_profile(kernel, IDENTITY, [0.0], 0.0, 1, RngStream(12))
+
+
+def test_profile_requires_a_grid_point():
+    kernel = ar1_kernel(Ar1Model(0.5))
+    with pytest.raises(ValueError, match="grid"):
+        fishy_profile(kernel, IDENTITY, [], 0.0, 10, RngStream(12))

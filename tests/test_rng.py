@@ -110,39 +110,22 @@ def test_stream_keys_give_the_plain_philox_stream(seed, stream_id):
 # Block-served draws
 # ---------------------------------------------------------------------------
 
-# (kind, size) requests; None draws a scalar.  Per kind they ask for far more
-# values than the first four blocks (16 + 32 + 64 + 128) hold.
-_PLAN = [
-    ("n", 5), ("u", None), ("n", None), ("u", 64), ("n", 64), ("n", 1), ("u", 3),
-    ("n", 17), ("u", None), ("u", 40), ("n", None), ("n", 33), ("u", 64), ("n", 2),
-] * 6
-
-
-def _draw(rng, plan, split_arrays):
-    out = {"n": [], "u": []}
-    for kind, size in plan:
-        draw = rng.standard_normal if kind == "n" else rng.random
-        if size is None or split_arrays:
-            out[kind] += [draw() for _ in range(size or 1)]
-        else:
-            values = draw(size)
-            assert values.shape == (size,) and values.dtype == np.float64
-            out[kind] += values.tolist()
-    return out
-
-
-def test_small_array_draws_equal_the_scalar_sequence():
-    counts = {kind: sum(size or 1 for k, size in _PLAN if k == kind) for kind in "nu"}
-    assert min(counts.values()) > 16 + 32 + 64 + 128
-    mixed = _draw(RngStream(21, 4).generator(), _PLAN, split_arrays=False)
-    scalar = _draw(RngStream(21, 4).generator(), _PLAN, split_arrays=True)
-    assert mixed == scalar
-    for kind, draw in (("n", "standard_normal"), ("u", "random")):
+def test_scalar_draws_of_one_kind_give_numpys_sequence():
+    # far more values than the first four blocks (16 + 32 + 64 + 128) hold
+    n = 2 * (16 + 32 + 64 + 128)
+    for draw in ("standard_normal", "random"):
+        rng = RngStream(21, 5).generator()
+        served = [getattr(rng, draw)() for _ in range(n)]
         # a stream drawing one kind only serves numpy's own sequence
-        only = [(k, size) for k, size in _PLAN if k == kind]
-        served = _draw(RngStream(21, 5).generator(), only, split_arrays=False)[kind]
-        plain = getattr(_philox(5, 21), draw)(counts[kind])
-        assert served == plain.tolist()
+        assert served == getattr(_philox(5, 21), draw)(n).tolist()
+
+
+def test_sized_draws_continue_past_the_buffered_block():
+    rng = RngStream(21, 6).generator()
+    plain = _philox(6, 21).random(16 + 5)
+    assert rng.random() == plain[0]  # buffers the first block of 16
+    np.testing.assert_array_equal(rng.random(5), plain[16:])
+    assert rng.random() == plain[1]
 
 
 def test_block_served_draws_keep_their_distributions():
@@ -200,7 +183,7 @@ def test_other_requests_pass_through_to_numpy(call):
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
 def test_copies_continue_with_the_same_draws(clone):
     rng = RngStream(26).generator()
-    rng.standard_normal(), rng.random(5)  # part-used blocks of both kinds
+    rng.standard_normal(), [rng.random() for _ in range(5)]  # part-used blocks of both kinds
     twin = clone(rng)
     assert type(twin) is type(rng)
 

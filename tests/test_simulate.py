@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fishyvar.chains import Ar1Model, CoupledKernel, FiniteChainModel, MarkovKernel
+from fishyvar.avar import sample_suave
+from fishyvar.chains import Ar1Model, CoupledKernel, FiniteChainModel, MarkovKernel, ModelBundle
+from fishyvar.config import TEST_FUNCTIONS
 from fishyvar.couplings import ar1_kernel, finite_kernel
 from fishyvar import simulate
 from fishyvar.rng import RngStream
@@ -13,6 +15,7 @@ from fishyvar.simulate import (
     run_coupled,
     sample_meetings,
 )
+from fishyvar.umcmc import sample_unbiased
 
 from conftest import random_finite_chain, vector_ar1_kernel
 
@@ -214,6 +217,23 @@ def test_replicates_fan_out_through_the_module_level_map(monkeypatch):
         stream.child(r).generator().random() for r in range(3)
     ]
     assert seen == [stream.child(r).stream_id for r in range(3)]
+
+
+@pytest.mark.parametrize("n_reps", [0, -1])
+def test_every_replicate_driver_requires_one_replicate(n_reps):
+    kernel = ar1_kernel(Ar1Model(0.5))
+    init = lambda rng: rng.standard_normal()
+    h = TEST_FUNCTIONS["identity"]
+    stream = RngStream(8)
+    calls = [
+        lambda: sample_meetings(kernel, init, 1, n_reps, stream),
+        lambda: sample_unbiased(kernel, init, h, 1, 3, 1, n_reps, stream),
+        lambda: sample_suave(ModelBundle(kernel, init, "ar1"), h, 1, 3, 1, 2, 0.0, n_reps, stream),
+        lambda: replicates(lambda rng: rng.random(), stream, n_reps),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_reps must be at least 1"):
+            call()
 
 
 def test_sample_meetings_worker_count_invariance():

@@ -293,6 +293,15 @@ def test_subsample_validates_probabilities():
         subsample_estimator(pihat, IDENTITY, 0, None, RngStream(5).generator())
 
 
+def test_subsample_checks_probabilities_as_selection_probs_does():
+    pihat = _toy_measure([1.0, 2.0], [0.5, 0.5])
+    rng = RngStream(5).generator()
+    with pytest.raises(ValueError, match="1e-12"):
+        subsample_estimator(pihat, IDENTITY, 1, np.array([0.5, 0.5 + 1e-10]), rng)
+    with pytest.raises(ValueError, match="one probability per atom"):
+        subsample_estimator(pihat, IDENTITY, 1, np.array([0.25, 0.25, 0.5]), rng)
+
+
 # ---------------------------------------------------------------------------
 # Reservoir sampling
 # ---------------------------------------------------------------------------

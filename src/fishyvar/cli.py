@@ -69,12 +69,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured subcommand; write artifacts; return the summary."""
-    runner = _RUNNERS.get(cfg.command)
-    if runner is None:
+    if cfg.command not in _RUNNERS:
         raise ConfigError(f"unknown command {cfg.command!r}; valid: {tuple(_RUNNERS)}")
+    runner, summary_file = _RUNNERS[cfg.command]
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = runner(cfg, out_dir)
+    summary = {"command": cfg.command, **runner(cfg, out_dir)}
+    if summary_file is not None:
+        _write_json(out_dir / summary_file, summary)
     print(json.dumps(summary, sort_keys=True))
     return summary
 
@@ -96,7 +98,6 @@ def _run_meetings(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _emit(cfg, out_dir, "meetings", ("rep", "tau", "lag", "cost"), rows)
     taus = np.array([s.tau for s in samples])
     return {
-        "command": "meetings",
         "reps": cfg.reps,
         "lag": cfg.lag,
         "mean_tau": float(taus.mean()),
@@ -112,7 +113,6 @@ def _run_tvbound(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _emit(cfg, out_dir, "tvbound", ("t", "bound"), list(zip(t.tolist(), bound.tolist())))
     below = t[bound < 0.01]
     return {
-        "command": "tvbound",
         "lag": lag,
         "reps": cfg.reps,
         "t_below_.01": int(below[0]) if below.size else None,
@@ -126,32 +126,26 @@ def _run_tailfit(cfg: ExperimentConfig, out_dir: Path) -> dict:
         fit = tail_fit([s.tau for s in samples], lag, cfg.t_min)
     except ValueError as exc:
         raise ConfigError(f"config keys 'reps' and 't_min' leave too few points: {exc}") from exc
-    summary = {
-        "command": "tailfit",
+    return {
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r2": fit.r_squared,
         "tmin": fit.fit_range[0],
         "tmax": fit.fit_range[1],
     }
-    _write_json(out_dir / "tailfit.json", summary)
-    return summary
 
 
 def _run_pilot(cfg: ExperimentConfig, out_dir: Path) -> dict:
     lag = max(cfg.lag, 1)
     samples = _meetings(cfg, lag)
     tuned = pilot_tuning([s.tau for s in samples], lag, cfg.quantile)
-    summary = {
-        "command": "pilot",
+    return {
         "k": tuned.k,
         "L": tuned.lag,
         "ell": tuned.ell,
         "quantile": tuned.quantile,
         "n_pilot": tuned.n_pilot,
     }
-    _write_json(out_dir / "pilot.json", summary)
-    return summary
 
 
 def _run_fishy(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -171,7 +165,7 @@ def _run_fishy(cfg: ExperimentConfig, out_dir: Path) -> dict:
         )
     )
     _emit(cfg, out_dir, "fishy", ("x", "mean", "se", "second_moment", "mean_cost"), rows)
-    return {"command": "fishy", "points": len(rows), "reps": cfg.reps, "y": cfg.y}
+    return {"points": len(rows), "reps": cfg.reps, "y": cfg.y}
 
 
 def _run_umcmc(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -183,12 +177,10 @@ def _run_umcmc(cfg: ExperimentConfig, out_dir: Path) -> dict:
     )
     rows = [(i, e.scalar, e.cost_units) for i, e in enumerate(estimates)]
     _emit(cfg, out_dir, "umcmc", ("rep", "value", "cost"), rows)
-    summary = {"command": "umcmc", "k": cfg.k, "L": cfg.lag, "ell": cfg.ell, "reps": cfg.reps}
+    summary = {"k": cfg.k, "L": cfg.lag, "ell": cfg.ell, "reps": cfg.reps}
     summary.update(_replicate_summary(estimates, cfg))
-    reference = getattr(cfg, "reference_avar", None)
-    if reference:
-        summary["loss_factor_vs_avar"] = summary["inefficiency"] / float(reference)
-    _write_json(out_dir / "umcmc_summary.json", summary)
+    if cfg.reference_avar is not None:
+        summary["loss_factor_vs_avar"] = summary["inefficiency"] / cfg.reference_avar
     return summary
 
 
@@ -211,14 +203,12 @@ def _run_epave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rows = [(i, e.value, e.cost_units) for i, e in enumerate(estimates)]
     _emit(cfg, out_dir, "epave", ("rep", "estimate", "cost"), rows)
     summary = {
-        "command": "epave",
         "t_steps": cfg.t_steps,
         "thin": cfg.thin,
         "burn_in": burn_in,
         "reps": cfg.reps,
     }
     summary.update(_replicate_summary(estimates, cfg))
-    _write_json(out_dir / "epave_summary.json", summary)
     return summary
 
 
@@ -241,7 +231,6 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rows = [(i, e.scalar, e.cost_total, e.cost_fishy) for i, e in enumerate(estimates)]
     _emit(cfg, out_dir, "suave", ("rep", "estimate", "cost_total", "cost_fishy"), rows)
     summary = {
-        "command": "suave",
         "k": cfg.k,
         "L": cfg.lag,
         "ell": cfg.ell,
@@ -252,13 +241,15 @@ def _run_suave(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "fishy_cost": float(np.mean([e.cost_fishy for e in estimates])),
     }
     summary.update(_replicate_summary(estimates, cfg))
-    _write_json(out_dir / "suave_summary.json", summary)
     return summary
 
 
 def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.model != "ar1":
         raise ConfigError("theory-check applies to the ar1 model")
+    if cfg.coupling_kind not in (None, "reflection-maximal"):
+        raise ConfigError("config section 'coupling': theory-check's bound holds for kind "
+                          f"reflection-maximal only, got {cfg.coupling_kind!r}")
     model = build_model(cfg)
     bundle, _ = bundle_for(cfg, model)
     phi, sigma = model.phi, model.sigma
@@ -277,8 +268,7 @@ def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
     empirical = (taus[None, :] > n[:, None]).mean(axis=1)
     rows = list(zip(n.tolist(), np.asarray(bounds).tolist(), empirical.tolist()))
     _emit(cfg, out_dir, "theory_check", ("n", "bound", "empirical"), rows)
-    summary = {
-        "command": "theory-check",
+    return {
         "phi": phi,
         "sigma": sigma,
         "beta": bound.beta,
@@ -289,8 +279,6 @@ def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "beta_bar": bound.beta_bar,
         "dominates": bool(np.all(empirical <= np.asarray(bounds) + 1e-12)),
     }
-    _write_json(out_dir / "theory_check_summary.json", summary)
-    return summary
 
 
 def _run_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -298,29 +286,26 @@ def _run_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError("the oracle solve applies to finite-chain models")
     model = build_model(cfg)
     solution = solve_finite(model)
-    summary = {
-        "command": "oracle",
+    return {
         "n_states": model.n_states,
         "pi": solution.pi.tolist(),
         "pi_h": solution.pi_h.tolist(),
         "g_star": solution.g_star.tolist(),
         "v": solution.v.tolist(),
     }
-    _write_json(out_dir / "oracle.json", summary)
-    return summary
 
 
-_RUNNERS = {
-    "meetings": _run_meetings,
-    "tvbound": _run_tvbound,
-    "tailfit": _run_tailfit,
-    "pilot": _run_pilot,
-    "fishy": _run_fishy,
-    "umcmc": _run_umcmc,
-    "epave": _run_epave,
-    "suave": _run_suave,
-    "theory-check": _run_theory_check,
-    "oracle": _run_oracle,
+_RUNNERS = {  # command -> (runner, file its summary is written to, if any)
+    "meetings": (_run_meetings, None),
+    "tvbound": (_run_tvbound, None),
+    "tailfit": (_run_tailfit, "tailfit.json"),
+    "pilot": (_run_pilot, "pilot.json"),
+    "fishy": (_run_fishy, None),
+    "umcmc": (_run_umcmc, "umcmc_summary.json"),
+    "epave": (_run_epave, "epave_summary.json"),
+    "suave": (_run_suave, "suave_summary.json"),
+    "theory-check": (_run_theory_check, "theory_check_summary.json"),
+    "oracle": (_run_oracle, "oracle.json"),
 }
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "load_config",
     "build_model",
     "build_bundle",
-    "resolve_test_function",
     "bundle_for",
     "finite_chain_from_csv",
     "MODELS",
@@ -118,6 +117,11 @@ class ExperimentConfig:
         ref = self.reference_avar
         checks = [
             (self.model in MODEL_NAMES, "model", f"must be one of {MODEL_NAMES}"),
+            (
+                self.test_function in TEST_FUNCTIONS,
+                "test_function",
+                f"unknown name {self.test_function!r}; known: {sorted(TEST_FUNCTIONS)}",
+            ),
             (self.k >= 0, "estimator.k", "must be nonnegative"),
             (self.lag >= 0, "estimator.L", "must be nonnegative"),
             (self.k <= self.ell, "estimator.ell", "must be at least k"),
@@ -143,12 +147,6 @@ class ExperimentConfig:
         for ok, key, message in checks:
             if not ok:
                 raise ConfigError(f"config key {key!r} {message}")
-        # models whose states are indices carry their own test-function table
-        if self.test_function not in TEST_FUNCTIONS and MODELS[self.model].state is not int:
-            raise ConfigError(
-                f"config key 'test_function' unknown name {self.test_function!r}; "
-                f"known: {sorted(TEST_FUNCTIONS)}"
-            )
 
     def _check_types(self) -> None:
         # YAML and the environment hand over values of any type; catch them
@@ -300,13 +298,6 @@ def _finite_chain(where, matrix, h_values) -> FiniteChainModel:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def resolve_test_function(cfg: ExperimentConfig, model=None) -> TestFunction:
-    """Pick the test function: a registry name, or the model's own table."""
-    if cfg.test_function in TEST_FUNCTIONS:
-        return TEST_FUNCTIONS[cfg.test_function]
-    return model.test_function()
-
-
 def build_model(cfg: ExperimentConfig):
     """Materialize the raw model object named by the config."""
     params = dict(cfg.model_params)
@@ -326,13 +317,18 @@ def build_bundle(cfg: ExperimentConfig) -> tuple[ModelBundle, TestFunction]:
 
 
 def bundle_for(cfg: ExperimentConfig, model) -> tuple[ModelBundle, TestFunction]:
-    """The bundle and test function of a model that :func:`build_model` built."""
+    """The bundle and test function of a model that :func:`build_model` built.
+
+    A model whose states are indices reads its own test-function table;
+    any other model evaluates the registry function ``cfg.test_function``.
+    """
     entry = MODELS[cfg.model]
     try:
         kernel = entry.kernel(model, cfg.coupling_kind)
     except ValueError as exc:
         raise ConfigError(f"config section 'coupling': {exc}") from exc
-    return ModelBundle(kernel, entry.init(model), cfg.model), resolve_test_function(cfg, model)
+    h = model.test_function() if entry.state is int else TEST_FUNCTIONS[cfg.test_function]
+    return ModelBundle(kernel, entry.init(model), cfg.model), h
 
 
 def _ar1(cfg: ExperimentConfig, params: dict) -> Ar1Model:
@@ -360,8 +356,12 @@ def _finite(cfg: ExperimentConfig, params: dict) -> FiniteChainModel:
         except OSError as exc:
             raise ConfigError(f"config key 'model.transition_csv' cannot be read: {exc}") from exc
     if h_values is None:
-        fn = TEST_FUNCTIONS.get(cfg.test_function, TEST_FUNCTIONS["identity"])
+        fn = TEST_FUNCTIONS[cfg.test_function]
         h_values = [fn.eval(float(s)) for s in range(len(matrix))]
+    elif cfg.test_function != ExperimentConfig.test_function:
+        raise ConfigError(
+            "config key 'test_function' must keep its default: 'model.h_values' is the test function"
+        )
     where = "config section 'model'" if csv_path is None else csv_path
     return _finite_chain(where, matrix, h_values)
 

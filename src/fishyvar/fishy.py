@@ -131,7 +131,6 @@ def fishy_profile(
     y: State,
     n_reps: int,
     stream: RngStream,
-    n_workers: int = 1,
 ) -> FishyProfile:
     """Replicated fishy estimates at each grid point (scalar h).
 
@@ -163,7 +162,7 @@ def fishy_profile(
         )
 
     children = stream.children(len(points))
-    rows = map_replicates(one_point, list(zip(points, children)), n_workers)
+    rows = map_replicates(one_point, list(zip(points, children)))
     mean, se, m2, cost = (np.array(col) for col in zip(*rows))
     xs = np.array([float(p) for p in points])
     return FishyProfile(xs, mean, se, m2, cost, y, n_reps)

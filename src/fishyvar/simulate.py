@@ -181,7 +181,6 @@ def sample_meetings(
     lag: int,
     n_reps: int,
     stream: RngStream,
-    n_workers: int = 1,
 ) -> list[MeetingSample]:
     """Replicated meeting times, one independent stream per replicate.
 
@@ -195,7 +194,7 @@ def sample_meetings(
         run = run_coupled(kernel, x0, y0, lag, 0, rng, keep_paths=False)
         return MeetingSample(run.meeting_time, lag, x0, y0, run.cost_units)
 
-    return replicates(body, stream, n_reps, n_workers)
+    return replicates(body, stream, n_reps)
 
 
 T = TypeVar("T")

@@ -299,7 +299,6 @@ def sample_unbiased(
     lag: int,
     n_reps: int,
     stream: RngStream,
-    n_workers: int = 1,
 ) -> list[UnbiasedEstimate]:
     """Independent replicates of the time-averaged estimator of pi(h)."""
 
@@ -309,7 +308,7 @@ def sample_unbiased(
         run = run_coupled(kernel, x0, y0, lag, ell, rng)
         return h_kl_estimator(run, h, k, ell)
 
-    return replicates(body, stream, n_reps, n_workers)
+    return replicates(body, stream, n_reps)
 
 
 ELL_MULTIPLE = 5  # pilot-tuned ell as a multiple of k

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ from fishyvar.config import (
     load_config,
 )
 from fishyvar.rng import RngStream
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+TABLED_CHAIN = """
+model:
+  name: finite
+  transition_matrix: [[0.5, 0.5], [0.3, 0.7]]
+  h_values: [10.0, -4.0]
+"""
 
 
 @pytest.fixture
@@ -134,6 +143,8 @@ def test_config_validation_names_keys():
         load_config(None, {"model": "unknown"})
     with pytest.raises(ConfigError, match="test_function"):
         load_config(None, {"test_function": "missing"})
+    with pytest.raises(ConfigError, match="test_function"):
+        load_config(None, {"model": "finite", "test_function": "missing"})
 
 
 @pytest.mark.parametrize("key", ["workers", "repz"])
@@ -244,6 +255,39 @@ def test_finite_csv_header_and_shape_errors(tmp_path):
     not_stochastic.write_text("to_0,to_1\n0.6,0.6\n0.5,0.5\n")
     with pytest.raises(ConfigError, match="sum"):
         finite_chain_from_csv(not_stochastic, [0.0, 1.0])
+
+
+def test_finite_chain_h_is_its_table(tmp_path):
+    cfg_file = tmp_path / "tabled.yaml"
+    cfg_file.write_text(TABLED_CHAIN)
+    cfg = load_config(cfg_file)
+    _, h = build_bundle(cfg)
+    table = build_model(cfg).h_values[:, 0].tolist()  # what solve_finite reads
+    assert [h.eval_scalar(s) for s in range(2)] == table == [10.0, -4.0]
+
+
+def test_finite_chain_h_values_with_a_named_test_function_exit_2(tmp_path, capsys):
+    cfg_file = tmp_path / "tabled.yaml"
+    cfg_file.write_text(TABLED_CHAIN + "test_function: square\n")
+    with pytest.raises(ConfigError, match="'test_function'"):
+        build_model(load_config(cfg_file))
+    out = tmp_path / "out"
+    assert main(["umcmc", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "'test_function'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_readme_config_file_loads_and_builds(tmp_path):
+    text = README.read_text()
+    section = text[text.index("### Config file") :]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    block = section[start : section.index("```", start)]
+    cfg_file = tmp_path / "readme.yaml"
+    cfg_file.write_text(block)
+    cfg = load_config(cfg_file)
+    bundle, h = build_bundle(cfg)
+    assert (cfg.model, cfg.model_params["phi"], cfg.reps) == ("ar1", 0.99, 1000)
+    assert (bundle.label, h.label) == ("ar1", "identity")
 
 
 def test_finite_model_via_config(finite_csv):
@@ -460,6 +504,7 @@ def test_seed_outside_the_key_word_exits_2(tmp_path, monkeypatch, capsys, seed):
         (["umcmc", "--reps", "1"], "reps"),
         (["suave", "--reps", "1"], "reps"),
         (["epave", "--reps", "1"], "reps"),
+        (["theory-check", "--phi", "0.5", "--coupling", "common-random-numbers"], "coupling"),
     ],
 )
 def test_invalid_inputs_exit_2_naming_the_key(tmp_path, capsys, argv, key):

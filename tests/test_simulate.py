@@ -236,12 +236,15 @@ def test_every_replicate_driver_requires_one_replicate(n_reps):
             call()
 
 
-def test_sample_meetings_worker_count_invariance():
-    kernel = ar1_kernel(Ar1Model(0.9))
-    init = lambda rng: 4.0 * rng.standard_normal()
-    one = sample_meetings(kernel, init, 2, 64, RngStream(7), n_workers=1)
-    eight = sample_meetings(kernel, init, 2, 64, RngStream(7), n_workers=8)
-    assert [(s.tau, s.x0, s.y0) for s in one] == [(s.tau, s.x0, s.y0) for s in eight]
+def test_sample_suave_worker_count_invariance():
+    bundle = ModelBundle(ar1_kernel(Ar1Model(0.9)), lambda rng: 4.0 * rng.standard_normal(), "ar1")
+    h = TEST_FUNCTIONS["identity"]
+    args = (bundle, h, 2, 10, 2, 3, 0.0, 16, RngStream(7))
+    one = sample_suave(*args, n_workers=1)
+    four = sample_suave(*args, n_workers=4)
+    assert [(e.value, e.cost_total, e.cost_fishy) for e in one] == [
+        (e.value, e.cost_total, e.cost_fishy) for e in four
+    ]
 
 
 def test_meeting_quantiles_stabilize_across_batches():

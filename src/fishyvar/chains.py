@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .rng import scalar_draws
+
 __all__ = [
     "State",
     "MarkovKernel",
@@ -63,11 +65,33 @@ def _state_equality(x: State, y: State) -> Callable[[State, State], bool]:
 
 @dataclass(frozen=True)
 class MarkovKernel:
-    """A single-chain transition ``(state, rng) -> state``."""
+    """A single-chain transition ``(state, rng) -> state``.
+
+    ``trajectory``, when given, is a loop ``(x, n, rng) -> [X_1, ..., X_n]``
+    that must draw and return exactly what ``n`` calls of ``step`` would; the
+    built-in kernels bring one, and it then serves as :meth:`path`.
+    """
 
     state_dim: int
     step: Callable[[State, np.random.Generator], State]
     label: str = ""
+    trajectory: Callable[[State, int, np.random.Generator], list] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        # the instance attribute shadows the method, so a call reaches the loop directly
+        if self.trajectory is not None:
+            object.__setattr__(self, "path", self.trajectory)
+
+    def path(self, x: State, n: int, rng: np.random.Generator) -> list:
+        """The ``n`` states after ``x``, X_1..X_n, one ``step`` each."""
+        step = self.step
+        out = []
+        for _ in range(n):
+            x = step(x, rng)
+            out.append(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -79,10 +103,42 @@ class CoupledKernel:
     the outputs are equal with probability one.  Faithfulness is checked by the
     test suite per built-in coupling, not enforced here, so custom couplings
     (e.g. independent draws, useful as a reference) can also be wrapped.
+
+    ``trajectory``, when given, is a loop ``(x, y, rng, max_steps) -> (xs, ys)``
+    that must draw and return exactly what :meth:`coupled_path` would by
+    calling ``coupled_step``; the built-in couplings bring one, and it then
+    serves as :meth:`coupled_path`.
     """
 
     base: MarkovKernel
     coupled_step: Callable[[State, State, np.random.Generator], tuple[State, State]]
+    trajectory: Callable[[State, State, np.random.Generator, int], tuple[list, list]] | None = (
+        field(default=None, compare=False, repr=False)
+    )
+
+    def __post_init__(self) -> None:
+        if self.trajectory is not None:
+            object.__setattr__(self, "coupled_path", self.trajectory)
+
+    def coupled_path(
+        self, x: State, y: State, rng: np.random.Generator, max_steps: int
+    ) -> tuple[list, list]:
+        """Lists ``xs``, ``ys`` of the pairs after each coupled step from ``(x, y)``.
+
+        Stops after the first step whose two states are equal (the meeting,
+        included) or after ``max_steps`` steps, whichever comes first; at
+        least one step is taken when ``max_steps >= 1``, even from equal states.
+        """
+        coupled = self.coupled_step
+        met = _state_equality(x, y)
+        xs, ys = [], []
+        for _ in range(max_steps):
+            x, y = coupled(x, y, rng)
+            xs.append(x)
+            ys.append(y)
+            if met(x, y):
+                break
+        return xs, ys
 
 
 @dataclass(frozen=True)
@@ -161,13 +217,24 @@ class Ar1Model:
 
 def ar1_step(model: Ar1Model, x: float, rng: np.random.Generator) -> float:
     """One autoregressive transition.  Broadcasts over array-valued ``x``."""
-    return _ar1_move(model.phi, model.sigma, x, rng)
+    return _ar1_path(model.phi, model.sigma, x, 1, rng)[0]
 
 
-def _ar1_move(phi: float, sigma: float, x: float, rng: np.random.Generator) -> float:
-    """``phi * x + sigma * W``, the one AR(1) formula; the kernel binds phi and sigma."""
-    w = rng.standard_normal() if isinstance(x, float) else rng.standard_normal(np.shape(x))
-    return phi * x + sigma * w
+def _ar1_path(phi: float, sigma: float, x: State, n: int, rng: np.random.Generator) -> list:
+    """X_1..X_n of ``x' = phi * x + sigma * W``, the AR(1) loop; the kernel binds phi and sigma.
+
+    A float state takes one scalar normal W.  Any other state (an array, or
+    an int start) takes W of its shape from numpy, until the state is a float.
+    """
+    out = []
+    while len(out) < n and not isinstance(x, float):
+        x = phi * x + sigma * rng.standard_normal(np.shape(x))
+        out.append(x)
+    normal = scalar_draws(rng).next_normal
+    for _ in range(n - len(out)):
+        x = phi * x + sigma * normal()
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +304,32 @@ def gibbs_conditional(model: CauchyNormalModel, eta: Sequence[float]) -> tuple[f
 
 def gibbs_step(model: CauchyNormalModel, theta: float, rng: np.random.Generator) -> float:
     """One auxiliary-variable Gibbs sweep: eta update then theta update."""
-    s = sz = 0.0
-    for z in model.observations:
-        eta = _neg2_log(rng.random()) / (1.0 + (theta - z) ** 2)
-        s += eta
-        sz += eta * z
-    mean, var = _conditional(model, s, sz)
-    return mean + math.sqrt(var) * rng.standard_normal()
+    return _gibbs_path(model, theta, 1, rng)[0]
+
+
+def _gibbs_path(model: CauchyNormalModel, theta: float, n: int, rng) -> list:
+    """n Gibbs sweeps from ``theta``: :func:`sample_eta` then the theta update, per sweep.
+
+    The -2 log U draws and the conditional of :func:`_conditional` are
+    written out, so a sweep makes no Python call but the draws.
+    """
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
+    log, sqrt, inf = math.log, math.sqrt, math.inf
+    observations = model.observations
+    prior_precision = 1.0 / model.prior_variance
+    out = []
+    for _ in range(n):
+        s = sz = 0.0
+        for z in observations:
+            u = uniform()
+            eta = (-2.0 * log(u) if u > 0.0 else inf) / (1.0 + (theta - z) ** 2)
+            s += eta
+            sz += eta * z
+        denom = s + prior_precision
+        theta = sz / denom + sqrt(1.0 / denom) * normal()
+        out.append(theta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +351,24 @@ def mrth_step(
     """
     if proposal_sd <= 0.0:
         raise ValueError("proposal_sd must be positive")
-    proposal = x + proposal_sd * rng.standard_normal()
-    u = rng.random()
-    log_u = math.log(u) if u > 0.0 else -math.inf
-    return proposal if _accepts(log_u, logdensity(proposal) - logdensity(x)) else x
+    return _mrth_path(logdensity, proposal_sd, x, 1, rng)[0]
+
+
+def _mrth_path(
+    logdensity: Callable[[float], float], proposal_sd: float, x: float, n: int, rng
+) -> list:
+    """n MRTH transitions from ``x``; ``proposal_sd`` is taken as positive."""
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
+    log, ninf = math.log, -math.inf
+    out = []
+    for _ in range(n):
+        proposal = x + proposal_sd * normal()
+        u = uniform()
+        if _accepts(log(u) if u > 0.0 else ninf, logdensity(proposal) - logdensity(x)):
+            x = proposal
+        out.append(x)
+    return out
 
 
 def _accepts(log_u: float, delta: float) -> bool:
@@ -364,4 +464,14 @@ def _power_is_positive(a: np.ndarray, k: int) -> bool:
 
 def finite_step(model: FiniteChainModel, s: int, rng: np.random.Generator) -> int:
     """Sample the next state from row ``s`` of the transition matrix."""
-    return bisect_right(model._cumulative_rows[s], rng.random())
+    return _finite_path(model._cumulative_rows, s, 1, rng)[0]
+
+
+def _finite_path(cum: Sequence[list[float]], s: int, n: int, rng) -> list:
+    """n transitions from state ``s``, each a bisection of one uniform in the cumulative row."""
+    uniform = scalar_draws(rng).next_uniform
+    out = []
+    for _ in range(n):
+        s = bisect_right(cum[s], uniform())
+        out.append(s)
+    return out

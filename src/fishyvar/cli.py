@@ -36,6 +36,7 @@ from .config import (
     bundle_for,
     load_config,
 )
+from .couplings import MaximalCouplingCapError
 from .diagnostics import bootstrap_ci, tail_fit, tv_curve
 from .fishy import fishy_profile
 from .oracle import Ar1TheoryBound, ar1_survival_bound, solve_finite
@@ -60,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TransitionBudgetError as exc:
+    except (TransitionBudgetError, MaximalCouplingCapError) as exc:
         print(f"error: aborted: {exc}; no partial file was left in the output directory",
               file=sys.stderr)
         return 1
@@ -68,9 +69,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the configured subcommand; write artifacts; return the summary."""
+    """Validate the config, run its subcommand, write artifacts and return the summary."""
     if cfg.command not in _RUNNERS:
         raise ConfigError(f"unknown command {cfg.command!r}; valid: {tuple(_RUNNERS)}")
+    cfg.validate()
     runner, summary_file = _RUNNERS[cfg.command]
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -299,7 +299,8 @@ def _finite_chain(where, matrix, h_values) -> FiniteChainModel:
 
 
 def build_model(cfg: ExperimentConfig):
-    """Materialize the raw model object named by the config."""
+    """Materialize the raw model object named by the config, after validating it."""
+    cfg.validate()
     params = dict(cfg.model_params)
     try:
         model = MODELS[cfg.model].build(cfg, params)
@@ -312,7 +313,10 @@ def build_model(cfg: ExperimentConfig):
 
 
 def build_bundle(cfg: ExperimentConfig) -> tuple[ModelBundle, TestFunction]:
-    """Materialize the coupled kernel, initial distribution and test function."""
+    """Materialize the coupled kernel, initial distribution and test function.
+
+    The config is validated by :func:`build_model`.
+    """
     return bundle_for(cfg, build_model(cfg))
 
 

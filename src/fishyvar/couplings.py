@@ -28,13 +28,14 @@ from .chains import (
     FiniteChainModel,
     MarkovKernel,
     _accepts,
-    _ar1_move,
-    _conditional,
-    _neg2_log,
-    finite_step,
-    gibbs_step,
-    mrth_step,
+    _ar1_path,
+    _finite_path,
+    _gibbs_path,
+    _mrth_path,
+    _state_equality,
+    states_equal,
 )
+from .rng import scalar_draws
 
 __all__ = [
     "MaximalCouplingCapError",
@@ -180,15 +181,35 @@ def coupled_mrth_step(
     inputs give identical proposals and identical accept decisions, so the
     chains stay merged.
     """
-    xstar, ystar, proposals_met = reflection_maximal_1d(x, y, proposal_sd, rng)
-    u = rng.random()
-    log_u = math.log(u) if u > 0.0 else -math.inf
-    log_x = logdensity(x)
-    x_next = xstar if _accepts(log_u, logdensity(xstar) - log_x) else x
-    if proposals_met and x == y:
-        return x_next, x_next, True
-    y_next = ystar if _accepts(log_u, logdensity(ystar) - logdensity(y)) else y
-    return x_next, y_next, proposals_met
+    xs, ys, proposals_met = _coupled_mrth_path(logdensity, proposal_sd, x, y, rng, 1)
+    return xs[0], ys[0], proposals_met
+
+
+def _coupled_mrth_path(logdensity, proposal_sd, x, y, rng, max_steps):
+    """Coupled MRTH steps until the chains meet or ``max_steps`` have run.
+
+    Returns the lists of states and whether the last step's proposals met.
+    """
+    uniform = scalar_draws(rng).next_uniform
+    log, ninf = math.log, -math.inf
+    xs, ys = [], []
+    proposals_met = False
+    for _ in range(max_steps):
+        xstar, ystar, proposals_met = reflection_maximal_1d(x, y, proposal_sd, rng)
+        u = uniform()
+        log_u = log(u) if u > 0.0 else ninf
+        log_x = logdensity(x)
+        x_next = xstar if _accepts(log_u, logdensity(xstar) - log_x) else x
+        if proposals_met and x == y:
+            y = x_next
+        elif _accepts(log_u, logdensity(ystar) - logdensity(y)):
+            y = ystar
+        x = x_next
+        xs.append(x)
+        ys.append(y)
+        if x == y:
+            break
+    return xs, ys, proposals_met
 
 
 def coupled_gibbs_step(
@@ -204,31 +225,55 @@ def coupled_gibbs_step(
     conditional Normals, whose rejection loop is capped at
     ``DEFAULT_REJECTION_CAP`` iterations.
     """
-    s1 = sz1 = s2 = sz2 = 0.0
-    for z in model.observations:
-        g = _neg2_log(rng.random())
-        eta = g / (1.0 + (theta - z) ** 2)
-        s1 += eta
-        sz1 += eta * z
-        eta = g / (1.0 + (theta_tilde - z) ** 2)
-        s2 += eta
-        sz2 += eta * z
-    m1, v1 = _conditional(model, s1, sz1)
-    m2, v2 = _conditional(model, s2, sz2)
-    # a zero uniform leaves both conditionals degenerate (variance 0, mean nan)
-    if (m1 == m2 and v1 == v2) or v1 == 0.0:
-        draw = m1 + math.sqrt(v1) * rng.standard_normal()
-        return draw, draw
-    sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
-    c1, c2 = 0.5 * math.log(v1), 0.5 * math.log(v2)
-    x, y, _ = maximal_coupling(
-        lambda t: -0.5 * (t - m1) ** 2 / v1 - c1,
-        lambda r: m1 + sd1 * r.standard_normal(),
-        lambda t: -0.5 * (t - m2) ** 2 / v2 - c2,
-        lambda r: m2 + sd2 * r.standard_normal(),
-        rng,
-    )
-    return x, y
+    xs, ys = _coupled_gibbs_path(model, theta, theta_tilde, rng, 1)
+    return xs[0], ys[0]
+
+
+def _coupled_gibbs_path(model: CauchyNormalModel, x, y, rng, max_steps):
+    """Coupled Gibbs sweeps until the chains meet or ``max_steps`` have run.
+
+    Each sweep is :func:`~fishyvar.chains.gibbs_step` on both chains with
+    shared auxiliary uniforms, and :func:`maximal_coupling`, looked up when
+    it runs, for the location updates.
+    """
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
+    log, sqrt, inf = math.log, math.sqrt, math.inf
+    observations = model.observations
+    prior_precision = 1.0 / model.prior_variance
+    xs, ys = [], []
+    for _ in range(max_steps):
+        s1 = sz1 = s2 = sz2 = 0.0
+        for z in observations:
+            u = uniform()
+            g = -2.0 * log(u) if u > 0.0 else inf
+            eta = g / (1.0 + (x - z) ** 2)
+            s1 += eta
+            sz1 += eta * z
+            eta = g / (1.0 + (y - z) ** 2)
+            s2 += eta
+            sz2 += eta * z
+        denom1, denom2 = s1 + prior_precision, s2 + prior_precision
+        m1, v1 = sz1 / denom1, 1.0 / denom1
+        m2, v2 = sz2 / denom2, 1.0 / denom2
+        # a zero uniform leaves both conditionals degenerate (variance 0, mean nan)
+        if (m1 == m2 and v1 == v2) or v1 == 0.0:
+            x = y = m1 + sqrt(v1) * normal()
+        else:
+            sd1, sd2 = sqrt(v1), sqrt(v2)
+            c1, c2 = 0.5 * log(v1), 0.5 * log(v2)
+            x, y, _ = maximal_coupling(
+                lambda t: -0.5 * (t - m1) ** 2 / v1 - c1,
+                lambda r: m1 + sd1 * r.standard_normal(),
+                lambda t: -0.5 * (t - m2) ** 2 / v2 - c2,
+                lambda r: m2 + sd2 * r.standard_normal(),
+                rng,
+            )
+        xs.append(x)
+        ys.append(y)
+        if x == y:
+            break
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +290,88 @@ def _coupling_kind(model: str, kind: str | None, kinds: tuple[str, ...]) -> str:
     return kind
 
 
+def _one_step(path: Callable) -> Callable:
+    """The single step ``(x, rng) -> x'`` that is one step of ``path``."""
+    return lambda x, rng: path(x, 1, rng)[0]
+
+
+def _coupled(base: MarkovKernel, path: Callable) -> CoupledKernel:
+    """The coupled kernel whose step is one step of its trajectory loop ``path``."""
+
+    def step(x, y, rng):
+        xs, ys = path(x, y, rng, 1)
+        return xs[0], ys[0]
+
+    return CoupledKernel(base, step, path)
+
+
 def ar1_kernel(model: Ar1Model, kind: str | None = None) -> CoupledKernel:
     """AR(1) kernel with reflection-maximal (default) or CRN coupling."""
     kind = _coupling_kind("ar1", kind, ("reflection-maximal", "common-random-numbers"))
-    phi, sigma = model.phi, model.sigma
-    base = MarkovKernel(1, partial(_ar1_move, phi, sigma), label="ar1")
+    phi, sigma = float(model.phi), float(model.sigma)
+    path = partial(_ar1_path, phi, sigma)
+    base = MarkovKernel(1, _one_step(path), "ar1", path)
     if kind == "reflection-maximal":
+        return _coupled(base, partial(_ar1_reflection_path, phi, sigma))
+    # Contracts |x - y| by phi each step; exact meetings only once the gap
+    # underflows, so prefer reflection-maximal for estimator work.
+    return _coupled(base, partial(_ar1_crn_path, phi, sigma))
 
-        def step(x, y, rng):
-            xn, yn, _ = reflection_maximal_1d(phi * x, phi * y, sigma, rng)
-            return xn, yn
 
-    else:
-        # Contracts |x - y| by phi each step; exact meetings only once the gap
-        # underflows, so prefer reflection-maximal for estimator work.
-        def step(x, y, rng):
-            w = rng.standard_normal()
-            return phi * x + sigma * w, phi * y + sigma * w
+def _ar1_reflection_path(phi, sigma, x, y, rng, max_steps):
+    """AR(1) pairs joined by :func:`reflection_maximal_1d` of the two means.
 
-    return CoupledKernel(base, step)
+    Float states run its scalar branch written out, on the draw functions;
+    other states (arrays, int starts) call it until both states are floats.
+    """
+    xs, ys = [], []
+    while len(xs) < max_steps and not (isinstance(x, float) and isinstance(y, float)):
+        x, y, _ = reflection_maximal_1d(phi * x, phi * y, sigma, rng)
+        xs.append(x)
+        ys.append(y)
+        if states_equal(x, y):
+            return xs, ys
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
+    log, ninf = math.log, -math.inf
+    for _ in range(max_steps - len(xs)):
+        mu1 = phi * x
+        mu2 = phi * y
+        z = (mu1 - mu2) / sigma
+        xdot = normal()
+        w = uniform()
+        x = mu1 + sigma * xdot
+        log_w = log(w) if w > 0.0 else ninf
+        y = x if log_w <= -0.5 * (z + xdot) ** 2 + 0.5 * xdot**2 else mu2 - sigma * xdot
+        xs.append(x)
+        ys.append(y)
+        if x == y:
+            break
+    return xs, ys
+
+
+def _ar1_crn_path(phi, sigma, x, y, rng, max_steps):
+    """AR(1) pairs driven by one shared scalar normal per step."""
+    normal = scalar_draws(rng).next_normal
+    met = _state_equality(x, y)
+    xs, ys = [], []
+    for _ in range(max_steps):
+        w = normal()
+        x = phi * x + sigma * w
+        y = phi * y + sigma * w
+        xs.append(x)
+        ys.append(y)
+        if met(x, y):
+            break
+    return xs, ys
 
 
 def cauchy_gibbs_kernel(model: CauchyNormalModel, kind: str | None = None) -> CoupledKernel:
     """Gibbs kernel for the Cauchy posterior, CRN auxiliaries + maximal update."""
     _coupling_kind("cauchy-gibbs", kind, ("common-random-numbers",))
-    base = MarkovKernel(1, lambda t, rng: gibbs_step(model, t, rng), label="cauchy-gibbs")
-    return CoupledKernel(base, lambda x, y, rng: coupled_gibbs_step(model, x, y, rng))
+    path = partial(_gibbs_path, model)
+    base = MarkovKernel(1, _one_step(path), "cauchy-gibbs", path)
+    return _coupled(base, partial(_coupled_gibbs_path, model))
 
 
 def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> CoupledKernel:
@@ -278,47 +379,72 @@ def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> Cou
     _coupling_kind("cauchy-mrth", kind, ("reflection-maximal",))
     logdensity = model.log_density
     sd = model.mrth_proposal_sd
-    base = MarkovKernel(1, lambda t, rng: mrth_step(logdensity, sd, t, rng), label="cauchy-mrth")
+    path = partial(_mrth_path, logdensity, sd)
+    base = MarkovKernel(1, _one_step(path), "cauchy-mrth", path)
 
-    def step(x, y, rng):
-        xn, yn, _ = coupled_mrth_step(logdensity, sd, x, y, rng)
-        return xn, yn
+    def pairs(x, y, rng, max_steps):
+        return _coupled_mrth_path(logdensity, sd, x, y, rng, max_steps)[:2]
 
-    return CoupledKernel(base, step)
+    return _coupled(base, pairs)
 
 
 def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKernel:
     """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN."""
     kind = _coupling_kind("finite", kind, ("maximal-rejection", "common-random-numbers"))
-    base = MarkovKernel(1, lambda s, rng: finite_step(model, s, rng), label="finite")
-    # Python-float rows: bisect and scalar products beat numpy calls on short rows
-    p = model.transition_matrix.tolist()
     cum = model._cumulative_rows
+    path = partial(_finite_path, cum)
+    base = MarkovKernel(1, _one_step(path), "finite", path)
     if kind == "maximal-rejection":
-        # The rejection maximal coupling specialized to pmf rows, with the
-        # same draw sequence and accept rule as `maximal_coupling` (the ratio
-        # test w <= q/p becomes w * p <= q, exact for probabilities).
-        def step(x, y, rng):
-            if x == y:
-                nxt = finite_step(model, x, rng)
-                return nxt, nxt
+        # Python-float rows: bisect and scalar products beat numpy calls on short rows
+        return _coupled(base, partial(_finite_maximal_path, model.transition_matrix.tolist(), cum))
+    return _coupled(base, partial(_finite_crn_path, cum))
+
+
+def _finite_maximal_path(p, cum, x, y, rng, max_steps):
+    """Finite-chain pairs joined by the rejection maximal coupling of rows ``p[x]`` and ``p[y]``.
+
+    The same draw sequence and accept rule as :func:`maximal_coupling`,
+    specialized to pmf rows (the ratio test w <= q/p becomes w * p <= q,
+    exact for probabilities); equal states take one shared step.
+    """
+    uniform = scalar_draws(rng).next_uniform
+    xs, ys = [], []
+    for _ in range(max_steps):
+        if x == y:
+            x = y = bisect_right(cum[x], uniform())
+        else:
             row_x, row_y = p[x], p[y]
-            cum_y = cum[y]
-            nxt = bisect_right(cum[x], rng.random())
-            if rng.random() * row_x[nxt] <= row_y[nxt]:
-                return nxt, nxt
-            for _ in range(DEFAULT_REJECTION_CAP):
-                other = bisect_right(cum_y, rng.random())
-                if rng.random() * row_y[other] > row_x[other]:
-                    return nxt, other
-            raise MaximalCouplingCapError(
-                f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
-            )
+            nxt = bisect_right(cum[x], uniform())
+            if uniform() * row_x[nxt] <= row_y[nxt]:
+                y = nxt
+            else:
+                cum_y = cum[y]
+                for _ in range(DEFAULT_REJECTION_CAP):
+                    y = bisect_right(cum_y, uniform())
+                    if uniform() * row_y[y] > row_x[y]:
+                        break
+                else:
+                    raise MaximalCouplingCapError(
+                        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
+                    )
+            x = nxt
+        xs.append(x)
+        ys.append(y)
+        if x == y:
+            break
+    return xs, ys
 
-    else:
 
-        def step(x, y, rng):
-            u = rng.random()
-            return bisect_right(cum[x], u), bisect_right(cum[y], u)
-
-    return CoupledKernel(base, step)
+def _finite_crn_path(cum, x, y, rng, max_steps):
+    """Finite-chain pairs that bisect one shared uniform in their two rows."""
+    uniform = scalar_draws(rng).next_uniform
+    xs, ys = [], []
+    for _ in range(max_steps):
+        u = uniform()
+        x = bisect_right(cum[x], u)
+        y = bisect_right(cum[y], u)
+        xs.append(x)
+        ys.append(y)
+        if x == y:
+            break
+    return xs, ys

@@ -19,7 +19,12 @@ import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction, _state_equality
 from .rng import RngStream, as_generator
-from .simulate import DEFAULT_TRANSITION_BUDGET, TransitionBudgetError, map_replicates
+from .simulate import (
+    _CHUNK_STEPS,
+    DEFAULT_TRANSITION_BUDGET,
+    TransitionBudgetError,
+    map_replicates,
+)
 
 __all__ = [
     "FishyEstimate",
@@ -65,20 +70,23 @@ def estimate_fishy(
     met = _state_equality(x, y)
     if met(x, y):
         return FishyEstimate(np.zeros(h.arity), y, x, 0, 0)
-    coupled = kernel.coupled_step
     hfn = h.evaluator
     acc = hfn(x) - hfn(y)
-    cx, cy = x, y
+    # the cost after step tau is 2 tau; the budget trips at the first step reaching it
+    tau_max = (budget + 1) // 2 if budget > 1 else 1
+    path = kernel.coupled_path
     tau = 0
+    cx, cy = x, y
     while True:
-        cx, cy = coupled(cx, cy, rng)
-        tau += 1
-        if met(cx, cy):
-            break
-        acc += hfn(cx) - hfn(cy)
-        if 2 * tau >= budget:
+        left = tau_max - tau
+        xs, ys = path(cx, cy, rng, left if left < _CHUNK_STEPS else _CHUNK_STEPS)
+        tau += len(xs)
+        for cx, cy in zip(xs, ys):
+            if met(cx, cy):  # only the last pair can meet; h(X_tau) - h(Y_tau) is not a term
+                return FishyEstimate(h.vector(acc), y, x, tau, 2 * tau)
+            acc += hfn(cx) - hfn(cy)
+        if tau >= tau_max:
             raise TransitionBudgetError(0, 2 * tau)
-    return FishyEstimate(h.vector(acc), y, x, tau, 2 * tau)
 
 
 def estimate_fishy_randomized(

@@ -13,24 +13,34 @@ per-call overhead is a large share of a cheap step.  The generator a stream
 builds therefore serves ``standard_normal()`` and ``random()`` with no
 arguments from per-kind blocks of Python floats drawn in bulk from the same
 Philox stream.  Blocks start at 16 values and double up to 1024, so a short
-replicate draws little ahead.  Every other request (any ``size``, ``out=``,
-another dtype) and every other method, ``integers`` included, passes
-straight to numpy and draws from the stream past the values already
-buffered; code that needs the k-th value of a kind to be the same however
-it is drawn asks for scalars.  Each Philox output is still used once, so
-the distributions are numpy's; the interleaving of normals and uniforms in
-the stream differs from unbuffered draws.  A generator passed in by a
-caller is used as is.
+replicate draws little ahead.  Each kind's values come from an iterator
+chained over its blocks, a block being drawn when the one before runs out;
+the generator's ``next_normal`` and ``next_uniform`` are those iterators'
+C-level ``__next__``, and :func:`scalar_draws` hands them to a kernel's
+trajectory loop, which then pays no Python call per draw.  The uniform
+iterator is built with the generator and the normal one on the first normal
+draw; the block sizes and the moments of refill are those of plain per-kind
+buffers.  Pickling keeps the values still buffered, not the iterators.
+Every other request (any ``size``, ``out=``, another dtype) and every other
+method, ``integers`` included, passes straight to numpy and draws from the
+stream past the values already buffered; code that needs the k-th value of
+a kind to be the same however it is drawn asks for scalars.  Each Philox
+output is still used once, so the distributions are numpy's; the
+interleaving of normals and uniforms in the stream differs from unbuffered
+draws.  A generator passed in by a caller is used as is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import length_hint
+from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RngStream", "as_generator"]
+__all__ = ["RngStream", "as_generator", "scalar_draws"]
 
 # Children of a stream occupy the block [id * BRANCH + 1, id * BRANCH + BRANCH],
 # so sibling subtrees never collide; `child` rejects fan-outs beyond BRANCH.
@@ -44,7 +54,8 @@ _MAX_BLOCK = 1024
 _F64 = np.float64
 _Generator = np.random.Generator
 _NORMAL, _UNIFORM = 0, 1
-_BULK_DRAWS = (_Generator.standard_normal, _Generator.random)
+_BULK_DRAWS = ("standard_normal", "random")
+_chain_blocks = chain.from_iterable  # looked up once: the class attribute lookup is slow
 
 
 class _StreamKey(ISeedSequence):
@@ -63,49 +74,107 @@ class _StreamKey(ISeedSequence):
         return self._words
 
 
+def _next_block(where: list):
+    """An iterator over the next block of ``where = [draw, block size, values, iterator]``.
+
+    Block sizes double up to ``_MAX_BLOCK``.  ``where`` keeps the block being
+    served and its iterator, so the values not yet served can be read back.
+    """
+    draw, size = where[0], where[1]
+    values = draw(size).tolist()
+    block = iter(values)
+    where[1:] = min(2 * size, _MAX_BLOCK), values, block
+    return block
+
+
 class _BlockGenerator(_Generator):
     """Philox generator serving scalar float draws from blocks.
 
-    ``_normals`` and ``_uniforms`` hold the buffered values in reverse stream
-    order, so ``pop()`` serves the next one.
+    ``next_uniform`` and ``next_normal`` are the C-level draws of each kind.
+    Nearly every kernel draws uniforms, so their iterator is built with the
+    generator; the normal one is built on the first normal draw, so a
+    replicate that draws only uniforms builds no normal blocks.  Blocks are
+    drawn through a plain generator on the same bit generator, so nothing
+    the iterators hold refers back to this object and dropping it frees it
+    without the cycle collector.
     """
 
-    __slots__ = ("_normals", "_uniforms", "_block_sizes")
+    __slots__ = ("_plain", "_where", "_uniforms", "next_uniform", "_normals", "_next_normal")
 
     def __init__(self, bit_generator: np.random.BitGenerator):
         super().__init__(bit_generator)
-        self._normals: list[float] = []
-        self._uniforms: list[float] = []
-        self._block_sizes = [_FIRST_BLOCK, _FIRST_BLOCK]
+        self._plain = _Generator(bit_generator)
+        self._where = [None, None]  # per built kind: [bulk draw, next block size, values, iterator]
+        self._normals = self._next_normal = None
+        self._serve(_UNIFORM)
 
+    def _serve(self, kind: int, buffered: list | None = None, size: int = _FIRST_BLOCK):
+        """Serve the ``buffered`` values of ``kind`` first, then its blocks from ``size`` on."""
+        values = buffered or []
+        where = [getattr(self._plain, _BULK_DRAWS[kind]), size, values, iter(values)]
+        served = _chain_blocks(map(_next_block, repeat(where)))
+        if buffered:
+            served = chain(where[3], served)
+        self._where[kind] = where
+        if kind == _NORMAL:
+            self._normals, self._next_normal = served, served.__next__
+        else:
+            self._uniforms, self.next_uniform = served, served.__next__
+        return served
+
+    @property
+    def next_normal(self) -> Callable[[], float]:
+        return self._next_normal or self._serve(_NORMAL).__next__
+
+    # `next(iterator)` is a cheaper call than the bound `__next__` inside a method
     def standard_normal(self, size=None, dtype=_F64, out=None):
         if size is None and dtype is _F64 and out is None:
-            try:
-                return self._normals.pop()
-            except IndexError:
-                return self._refill(self._normals, _NORMAL).pop()
+            return next(self._normals or self._serve(_NORMAL))
         return _Generator.standard_normal(self, size, dtype, out)
 
     def random(self, size=None, dtype=_F64, out=None):
         if size is None and dtype is _F64 and out is None:
-            try:
-                return self._uniforms.pop()
-            except IndexError:
-                return self._refill(self._uniforms, _UNIFORM).pop()
+            return next(self._uniforms)
         return _Generator.random(self, size, dtype, out)
 
-    def _refill(self, buf: list, kind: int) -> list:
-        size = self._block_sizes[kind]
-        self._block_sizes[kind] = min(2 * size, _MAX_BLOCK)
-        buf.extend(_BULK_DRAWS[kind](self, size).tolist()[::-1])
-        return buf
-
     def __reduce__(self):
-        # numpy's own reduce would rebuild a plain Generator and drop the blocks
-        return type(self), (self.bit_generator,), (self._normals, self._uniforms, self._block_sizes)
+        # numpy's own reduce would rebuild a plain Generator and drop the
+        # blocks; the iterators are not pickled, only the values they still hold
+        state = tuple(
+            ([], _FIRST_BLOCK)
+            if where is None
+            else (where[2][len(where[2]) - length_hint(where[3]) :], where[1])
+            for where in self._where
+        )
+        return type(self), (self.bit_generator,), state
 
     def __setstate__(self, state) -> None:
-        self._normals, self._uniforms, self._block_sizes = state
+        for kind, (buffered, size) in enumerate(state):
+            if buffered or size != _FIRST_BLOCK:
+                self._serve(kind, buffered, size)
+
+
+class _MethodDraws:
+    """The draws of any other generator: its bound methods, looked up when read."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    next_normal = property(lambda self: self._rng.standard_normal)
+    next_uniform = property(lambda self: self._rng.random)
+
+
+def scalar_draws(rng) -> _BlockGenerator | _MethodDraws:
+    """What serves ``rng``'s draws: ``next_normal()`` and ``next_uniform()``, argument-free.
+
+    A stream's generator serves them itself, as C-level calls on its blocks.
+    Any other object gets its bound methods ``standard_normal`` and
+    ``random``, each looked up only when its attribute is read, so an object
+    with only ``random()`` serves a loop that draws only uniforms.
+    """
+    return rng if isinstance(rng, _BlockGenerator) else _MethodDraws(rng)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_TRANSITION_BUDGET = 10**8
+
+# Coupled steps per trajectory call of `run_coupled` and `estimate_fishy`, so
+# a run holds a bounded number of states at once however late its chains meet.
+_CHUNK_STEPS = 4096
 
 
 class TransitionBudgetError(RuntimeError):
@@ -103,65 +108,73 @@ def run_coupled(
     is consumed.  With ``lag >= 1`` the X chain consumes exactly ``lag``
     warm-up transitions and meetings are checked from the first coupled step
     onward.  After the meeting, X alone advances until index ``horizon_min``.
+    Each phase is one trajectory of the kernel (:meth:`MarkovKernel.path`,
+    :meth:`CoupledKernel.coupled_path`); the coupled phase runs in pieces of
+    at most ``_CHUNK_STEPS`` steps, and stops with a
+    :class:`TransitionBudgetError` after the first coupled step that brings
+    the cost to ``budget`` without a meeting.
 
     Streaming consumers can pass ``on_x`` / ``on_y`` visitors, called once per
     stored index in order, and set ``keep_paths=False`` to bound memory.
     ``on_y(s, Y_s)`` always follows ``on_x(s + lag, X_{s+lag})``, so it sees the
-    pair (X_{s+lag}, Y_s); Y_0 is reported after the warm-up.
+    pair (X_{s+lag}, Y_s); Y_0 is reported after the warm-up.  Visitors are
+    called after each trajectory is drawn, in that order.
     """
     if lag < 0:
         raise ValueError("lag must be nonnegative")
     if horizon_min < 0:
         raise ValueError("horizon_min must be nonnegative")
     rng = as_generator(rng)
-    step = kernel.base.step
-    coupled = kernel.coupled_step
+    base = kernel.base
     met = _state_equality(x0, y0)
 
-    x_path: list | None = [x0] if keep_paths else None
-    y_path: list | None = [y0] if keep_paths else None
+    warm = base.path(x0, lag, rng) if lag else []  # X_1..X_lag
+    x = warm[-1] if lag else x0
     if on_x is not None:
-        on_x(0, x0)
-
-    x = _advance_x(step, x0, 0, lag, rng, x_path, on_x)
-    t = cost = lag  # index of the X chain; transitions so far
+        for i, x_i in enumerate([x0, *warm]):
+            on_x(i, x_i)
     if on_y is not None:
         on_y(0, y0)
+    x_path: list | None = [x0, *warm] if keep_paths else None
+    y_path: list | None = [y0] if keep_paths else None
 
-    y = y0
-    if not (lag == 0 and met(x0, y0)):
+    t = lag  # index of the X chain
+    if lag or not met(x0, y0):
+        # the cost after coupled step t - lag is lag + 2 (t - lag) = 2 t - lag;
+        # the budget trips at the first step reaching it
+        t_max = (budget + lag + 1) // 2 if budget > lag + 1 else lag + 1
+        y = y0
         while True:
-            x, y = coupled(x, y, rng)  # (X_{t+1}, Y_{t-lag+1})
-            t += 1
-            cost += 2
+            steps = t_max - t
+            xs, ys = kernel.coupled_path(x, y, rng, steps if steps < _CHUNK_STEPS else _CHUNK_STEPS)
+            if on_x is not None or on_y is not None:
+                for i, x_i, y_i in zip(count(t + 1), xs, ys):
+                    if on_x is not None:
+                        on_x(i, x_i)
+                    if on_y is not None:
+                        on_y(i - lag, y_i)
             if keep_paths:
-                x_path.append(x)
-                y_path.append(y)
-            if on_x is not None:
-                on_x(t, x)
-            if on_y is not None:
-                on_y(t - lag, y)
+                x_path += xs
+                y_path += ys
+            t += len(xs)
+            x, y = xs[-1], ys[-1]
             if met(x, y):
                 break
-            if cost >= budget:
-                raise TransitionBudgetError(lag, cost)
+            if t >= t_max:
+                raise TransitionBudgetError(lag, 2 * t - lag)
     tau = t
+    cost = 2 * tau - lag
 
-    _advance_x(step, x, t, horizon_min, rng, x_path, on_x)
-    cost += max(horizon_min - t, 0)
+    if horizon_min > tau:
+        tail = base.path(x, horizon_min - tau, rng)  # X_{tau+1}..X_horizon_min
+        if on_x is not None:
+            for i, x_i in enumerate(tail, tau + 1):
+                on_x(i, x_i)
+        if keep_paths:
+            x_path += tail
+        cost += horizon_min - tau
 
     return CoupledRun(lag, x_path, y_path, tau, cost)
-
-
-def _advance_x(step, x: State, start: int, until: int, rng, x_path: list | None, on_x) -> State:
-    """Advance the X chain alone from index ``start`` to ``until``; returns X_until."""
-    for t in range(start + 1, until + 1):
-        x = step(x, rng)
-        if x_path is not None:
-            x_path.append(x)
-        if on_x is not None:
-            on_x(t, x)
-    return x
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction
-from .rng import RngStream, as_generator
+from .rng import RngStream, as_generator, scalar_draws
 from .simulate import CoupledRun, replicates, run_coupled
 
 __all__ = [
@@ -239,7 +239,7 @@ class UniformReservoir:
     def __init__(self, R: int, rng: np.random.Generator):
         if R < 1:
             raise ValueError("R must be at least 1")
-        self._rng = rng
+        self._uniform = scalar_draws(rng).next_uniform
         self.items: list = [None] * R
         self.indices = np.full(R, -1, dtype=int)
         self.count = 0
@@ -252,7 +252,7 @@ class UniformReservoir:
         if self.count < self._due:
             return
         n = self.count
-        heap, random = self._next, self._rng.random
+        heap, random = self._next, self._uniform
         while heap[0][0] == n:
             slot = heap[0][1]
             self.items[slot] = item

@@ -808,3 +808,28 @@ def test_runtime_abort_exits_1(monkeypatch, tmp_path):
         ["meetings", "--model", "ar1", "--reps", "5", "--lag", "1", "--out", str(tmp_path)]
     )
     assert code == 1
+
+
+def test_rejection_cap_abort_exits_1_with_one_line_and_no_file(monkeypatch, tmp_path, capsys):
+    from fishyvar import couplings
+
+    # with a cap of 0 the first rejection of the maximal coupling fails the run
+    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 0)
+    out = tmp_path / "out"
+    argv = ["meetings", "--model", "cauchy-gibbs", "--lag", "1", "--reps", "20"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: aborted:") and "exceeded 0 iterations" in err
+    assert not any(out.iterdir())
+
+
+def test_directly_built_configs_are_validated(tmp_path):
+    with pytest.raises(ConfigError, match="'test_function'"):
+        build_bundle(ExperimentConfig(model="ar1", test_function="bogus"))
+    with pytest.raises(ConfigError, match="'test_function'"):
+        build_model(ExperimentConfig(model="ar1", test_function="bogus"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="'estimator.R'"):
+        run_experiment(ExperimentConfig(command="suave", R=0, output_dir=str(out)))
+    assert not out.exists()

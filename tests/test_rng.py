@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats
 
 from fishyvar.chains import Ar1Model
 from fishyvar.couplings import ar1_kernel
-from fishyvar.rng import RngStream
+from fishyvar.rng import RngStream, scalar_draws
 from fishyvar.simulate import run_coupled
 
 
@@ -191,3 +192,69 @@ def test_copies_continue_with_the_same_draws(clone):
         return [g.random() for _ in range(50)] + g.standard_normal(70).tolist() + [g.integers(9)]
 
     assert rest(twin) == rest(rng)
+
+
+def test_scalar_draws_of_a_stream_continue_its_blocks():
+    rng, twin = RngStream(28, 1).generator(), RngStream(28, 1).generator()
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
+    got = [normal() for _ in range(40)] + [rng.random()] + [uniform() for _ in range(20)]
+    got += [rng.standard_normal()]
+    want = [twin.standard_normal() for _ in range(40)] + [twin.random() for _ in range(21)]
+    assert got == want + [twin.standard_normal()]
+    assert (scalar_draws(rng).next_normal, scalar_draws(rng).next_uniform) == (normal, uniform)
+
+
+def test_a_stream_builds_normal_blocks_only_when_it_draws_normals():
+    rng = RngStream(28, 2).generator()
+    [rng.random() for _ in range(20)]
+    _, _, (normals, uniforms) = rng.__reduce__()
+    assert normals == ([], 16) and len(uniforms[0]) == 16 + 32 - 20 and uniforms[1] == 64
+    # the first normal block comes after the two uniform blocks in the stream
+    twin = RngStream(28, 2).generator()
+    twin.random(16 + 32)
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+def test_scalar_draws_of_other_objects_look_methods_up_when_read():
+    class OnlyUniform:
+        def random(self):
+            return 0.25
+
+    draws = scalar_draws(OnlyUniform())
+    assert draws.next_uniform() == 0.25
+    with pytest.raises(AttributeError):
+        draws.next_normal
+    plain = np.random.default_rng(3)
+    assert scalar_draws(plain).next_normal() == np.random.default_rng(3).standard_normal()
+
+
+def test_pickled_state_holds_the_buffered_values_not_iterators():
+    rng = RngStream(29).generator()
+    rng.random(), rng.standard_normal(), rng.standard_normal()
+    cls, args, state = rng.__reduce__()
+    (normals, normal_size), (uniforms, uniform_size) = state
+    assert (len(normals), len(uniforms), normal_size, uniform_size) == (14, 15, 32, 32)
+    assert all(type(v) is float for v in normals + uniforms)
+    twin = cls(*copy.deepcopy(args))  # its own bit generator, at the same state
+    twin.__setstate__(state)
+    assert [twin.random() for _ in range(40)] == [rng.random() for _ in range(40)]
+
+
+def test_stream_generators_are_freed_without_the_cycle_collector():
+    kernel = ar1_kernel(Ar1Model(0.9))
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(30):
+            rng = RngStream(30, i).generator()
+            draws = scalar_draws(rng)
+            normal, uniform = draws.next_normal, draws.next_uniform
+            [normal() for _ in range(40)], [uniform() for _ in range(100)]
+            rng.standard_normal(), rng.random(3), rng.integers(5)
+            run_coupled(kernel, 4.0, -4.0, 2, 20, rng)
+            copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))
+            del rng, draws, normal, uniform
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

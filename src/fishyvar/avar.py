@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chains import ModelBundle, State, TestFunction
-from .diagnostics import bootstrap_resample, percentile_interval
+from .diagnostics import _ResampleGather, bootstrap_resample, percentile_interval
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
 from .simulate import replicates, run_coupled
@@ -87,7 +87,7 @@ def unbiased_target_variance(
     """
     if h.arity != 1:
         raise ValueError("unbiased_target_variance expects a scalar test function")
-    return float(_target_covariance(_moments(pihat1, h), _moments(pihat2, h))[0, 0])
+    return float(_target_covariance(_moments(pihat1, h), _moments(pihat2, h)))
 
 
 def selection_probs(
@@ -141,11 +141,11 @@ def selection_probs(
 # ---------------------------------------------------------------------------
 
 
-def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of h, shape (d,), and of h h^T, shape (d, d), against a measure.
+def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple:
+    """Integrals of h and of h h^T against a measure: floats at arity 1, else shapes (d,), (d, d).
 
     The one accumulator behind SUAVE and the target variance.  For arity 1
-    the sums stay scalars: two products per atom, shapes checked on the totals.
+    the sums stay floats: two products per atom, the shape checked on a non-float total.
     """
     hfn = h.evaluator
     outer = operator.mul if h.arity == 1 else np.outer
@@ -155,28 +155,34 @@ def _moments(pihat: SignedMeasure, h: TestFunction) -> tuple[np.ndarray, np.ndar
         wh = w * hv
         sum_h += wh
         sum_hh += outer(wh, hv)
-    return h.vector(sum_h), np.array(sum_hh, ndmin=2)
+    if h.arity > 1:
+        return h.vector(sum_h), np.array(sum_hh, ndmin=2)
+    if isinstance(sum_h, float):
+        return sum_h, sum_hh
+    return float(h.vector(sum_h)[0]), float(np.ravel(sum_hh)[0])
 
 
-def _target_covariance(moments_a, moments_b) -> np.ndarray:
+def _target_covariance(moments_a, moments_b):
     """Unbiased stationary covariance of h from two independent measures.
 
     The mean of the integrals of h h^T minus the symmetrized outer product of
-    the integrals of h, from each measure's :func:`_moments` pair.
+    the integrals of h, from each measure's :func:`_moments` pair; at arity 1
+    a float, from the same operations on the one entry.
     """
     (mean_a, cross_a), (mean_b, cross_b) = moments_a, moments_b
-    prod = np.outer(mean_a, mean_b)
-    return 0.5 * (cross_a + cross_b) - 0.5 * (prod + prod.T)
+    scalar = isinstance(mean_a, float)
+    prod = mean_a * mean_b if scalar else np.outer(mean_a, mean_b)
+    return 0.5 * (cross_a + cross_b) - 0.5 * (prod + (prod if scalar else prod.T))
 
 
 @dataclass(frozen=True)
 class _MeasureSummary:
     """What the combination step needs from one signed measure."""
 
-    moments: tuple[np.ndarray, np.ndarray]  # integrals of h and h h^T; see _moments
+    moments: tuple  # integrals of h and h h^T; see _moments
     selected_atoms: list
     selected_weights: np.ndarray
-    selected_probs: np.ndarray
+    selected_probs: list[float]
     cost_units: int
 
 
@@ -212,16 +218,16 @@ def _draw_summaries(
     for pihat, own, (other_mean_h, _) in zip(measures, moments, moments[::-1]):
         if xi_kind == "uniform":
             idx = reservoir_select(pihat.atoms, R, rng)
-            selected_probs = np.full(len(idx), 1.0 / pihat.n_atoms)
+            selected_probs = [1.0 / pihat.n_atoms] * R
         else:
-            other_mean = float(other_mean_h[0])  # read by optimal selection, which needs arity 1
-            xi = selection_probs(pihat, h, other_mean, second_moment_table, xi_kind).xi
+            # other_mean_h is a float at arity 1, the only arity that reads it
+            xi = selection_probs(pihat, h, other_mean_h, second_moment_table, xi_kind).xi
             idx = _categorical(xi, R, rng)
-            selected_probs = xi[idx]
+            selected_probs = xi[idx].tolist()
         summaries.append(
             _MeasureSummary(
                 moments=own,
-                selected_atoms=[pihat.atoms[i] for i in idx],
+                selected_atoms=[pihat.atoms[i] for i in idx.tolist()],
                 selected_weights=pihat.weights[idx],
                 selected_probs=selected_probs,
                 cost_units=pihat.cost_units,
@@ -274,15 +280,14 @@ def suave_multivariate(
     correction = 0.0
     cost_fishy = 0
     for summary, other in zip(summaries, summaries[::-1]):
-        other_mean = float(other.moments[0][0]) if d == 1 else other.moments[0]
         for z, w, prob in zip(
             summary.selected_atoms,
             summary.selected_weights.tolist(),
-            summary.selected_probs.tolist(),
+            summary.selected_probs,
         ):
             fishy = estimate_fishy(bundle.kernel, h, z, y, rng)
             cost_fishy += fishy.cost_units
-            centred = hfn(z) - other_mean
+            centred = hfn(z) - other.moments[0]
             g = fishy.scalar if d == 1 else fishy.value
             correction += (w / prob) * 0.5 * (outer(centred, g) + outer(g, centred))
     correction /= R
@@ -290,7 +295,7 @@ def suave_multivariate(
     value = -vhat_pi + correction
     cost_measures = summaries[0].cost_units + summaries[1].cost_units
     return AvarEstimate(
-        value=float(value[0, 0]) if d == 1 else value,
+        value=float(np.ravel(value)[0]) if d == 1 else value,
         cost_total=cost_measures + cost_fishy,
         cost_fishy=cost_fishy,
         cost_signed_measures=cost_measures,
@@ -439,12 +444,13 @@ def inefficiency(
     # the floor at 0 catches rounding on resamples of one repeated value.
     centred = values - values.mean()
     ones = np.ones(n)
+    gather = _ResampleGather()  # one buffer, holding x and then the costs
 
     def variance_and_cost(idx):
-        x = centred[idx]
+        x = gather(centred, idx)
         sums = x @ ones
         var = np.maximum((np.einsum("ij,ij->i", x, x) - sums * sums / n) / (n - 1), 0.0)
-        return np.stack([var, costs[idx] @ ones / n], axis=1)
+        return np.stack([var, gather(costs, idx) @ ones / n], axis=1)
 
     var_bs, cost_bs = bootstrap_resample(n, n_resamples, rng, variance_and_cost).T
     prod_bs = var_bs * cost_bs

@@ -444,7 +444,7 @@ class FiniteChainModel:
         h = self.h_values
         if h.shape[1] == 1:
             col = h[:, 0].tolist()
-            return TestFunction(lambda s: col[s], arity=1, label="finite-table")
+            return TestFunction(col.__getitem__, arity=1, label="finite-table")
         return TestFunction(lambda s: h[s], arity=h.shape[1], label="finite-table")
 
 

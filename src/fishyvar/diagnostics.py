@@ -140,9 +140,21 @@ def bootstrap_ci(
         raise ValueError("bootstrap_ci requires at least 2 values")
     n = values.size
     ones = np.ones(n)
+    gather = _ResampleGather()
     # a matrix-vector product sums each row faster than mean(axis=1)
-    means = bootstrap_resample(n, n_resamples, rng, lambda idx: values[idx] @ ones / n)
+    means = bootstrap_resample(n, n_resamples, rng, lambda idx: gather(values, idx) @ ones / n)
     return percentile_interval(means, level)
+
+
+class _ResampleGather:
+    """``values[idx]`` in one buffer that grows to the largest ``idx`` and each call overwrites."""
+    buffer = np.empty(0)
+
+    def __call__(self, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        if self.buffer.size < idx.size:
+            self.buffer = np.empty(idx.size)
+        # "clip" takes what "raise" would from in-range indices, without its temporary copy
+        return np.take(values, idx, out=self.buffer[: idx.size].reshape(idx.shape), mode="clip")
 
 
 def bootstrap_resample(
@@ -160,6 +172,6 @@ def bootstrap_resample(
     block = max(1, _BLOCK_INDICES // n)
     rows = []
     for done in range(0, n_resamples, block):
-        idx = rng.integers(0, n, size=(min(block, n_resamples - done), n))
-        rows.append(statistic(idx))
+        # no name holds a block's indices, so they are freed before the next block is drawn
+        rows.append(statistic(rng.integers(0, n, size=(min(block, n_resamples - done), n))))
     return np.concatenate(rows)

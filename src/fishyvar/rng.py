@@ -6,7 +6,9 @@ by the pair ``(master_seed, stream_id)``: rebuilding a generator from the same
 pair replays the exact same sequence, and distinct stream ids give streams that
 are independent by construction of the Philox keying.  Replicate fan-out
 therefore assigns one stream per replicate, which makes results independent of
-worker scheduling.
+worker scheduling.  The replicate driver re-states one generator per worker
+thread to each replicate's stream, which gives the words of a fresh generator
+of that stream; a replicate body's generator is valid until the body returns.
 
 Block serving.  A kernel transition draws one or two scalars, and numpy's
 per-call overhead is a large share of a cheap step.  The generator a stream
@@ -56,6 +58,7 @@ _Generator = np.random.Generator
 _NORMAL, _UNIFORM = 0, 1
 _BULK_DRAWS = ("standard_normal", "random")
 _chain_blocks = chain.from_iterable  # looked up once: the class attribute lookup is slow
+_NOTHING_BUFFERED = {"buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 class _StreamKey(ISeedSequence):
@@ -104,9 +107,19 @@ class _BlockGenerator(_Generator):
     def __init__(self, bit_generator: np.random.BitGenerator):
         super().__init__(bit_generator)
         self._plain = _Generator(bit_generator)
+        self._fresh_blocks()
+
+    def _fresh_blocks(self) -> None:
         self._where = [None, None]  # per built kind: [bulk draw, next block size, values, iterator]
         self._normals = self._next_normal = None
         self._serve(_UNIFORM)
+
+    def restate(self, stream: "RngStream") -> "_BlockGenerator":
+        """Itself, re-stated to ``stream.generator()``'s start: its key, counter 0, nothing kept."""
+        state = {"counter": (0, 0, 0, 0), "key": (stream.stream_id, stream.master_seed)}
+        self.bit_generator.state = {"bit_generator": "Philox", "state": state, **_NOTHING_BUFFERED}
+        self._fresh_blocks()
+        return self
 
     def _serve(self, kind: int, buffered: list | None = None, size: int = _FIRST_BLOCK):
         """Serve the ``buffered`` values of ``kind`` first, then its blocks from ``size`` on."""
@@ -194,14 +207,14 @@ class RngStream:
             raise ValueError(f"master_seed {self.master_seed} must lie in [0, 2**64)")
         if self.stream_id < 0:
             raise ValueError("stream_id must be nonnegative")
-
-    def generator(self) -> np.random.Generator:
-        """Fresh block-serving generator positioned at the start of this stream."""
         if self.stream_id >= _WORD:
             raise ValueError(
                 f"stream_id {self.stream_id} does not fit the 64-bit Philox key word; "
                 "the stream tree is too deep"
             )
+
+    def generator(self) -> np.random.Generator:
+        """Fresh block-serving generator positioned at the start of this stream."""
         # little-endian words of the 128-bit key (master_seed << 64) | stream_id
         key = np.array([self.stream_id, self.master_seed], dtype=np.uint64)
         return _BlockGenerator(np.random.Philox(_StreamKey(key)))
@@ -218,7 +231,7 @@ class RngStream:
         """``n`` derived streams, one per replicate, in replicate order."""
         if n > _BRANCH:
             raise ValueError(f"at most {_BRANCH} children, or sibling subtrees collide")
-        return [self.child(i) for i in range(n)]
+        return [RngStream(self.master_seed, self.stream_id * _BRANCH + 1 + i) for i in range(n)]
 
 
 def as_generator(rng: np.random.Generator | RngStream | None) -> np.random.Generator:

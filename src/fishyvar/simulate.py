@@ -12,6 +12,7 @@ alone.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
@@ -222,13 +223,21 @@ def replicates(
 ) -> list[T]:
     """``body(rng)`` for replicates r = 0..n_reps-1, in replicate order.
 
-    Replicate r draws from a fresh generator of ``stream.child(r)``, so its
-    result depends only on the stream and r, never on the worker count.
+    Replicate r's generator, kept per call and worker thread, is re-stated to
+    child r's key: the words of a fresh ``stream.child(r).generator()``, valid
+    until the body returns.  So r's result depends only on the stream and r.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
+    kept = threading.local()
+
+    def run(child: RngStream) -> T:
+        rng = getattr(kept, "rng", None)
+        kept.rng = rng = child.generator() if rng is None else rng.restate(child)
+        return body(rng)
+
     # map_replicates is read at call time, so a tracer that rebinds it sees every replicate
-    return map_replicates(lambda child: body(child.generator()), stream.children(n_reps), n_workers)
+    return map_replicates(run, stream.children(n_reps), n_workers)
 
 
 def map_replicates(

@@ -148,9 +148,9 @@ class SignedMeasure:
 
     def pruned(self) -> "SignedMeasure":
         """Copy without zero-weight atoms (subsampling requires nonzero weights)."""
-        keep = np.nonzero(self.weights)[0]
-        if len(keep) == len(self.atoms):
+        if np.count_nonzero(self.weights) == len(self.atoms):
             return self
+        keep = np.nonzero(self.weights)[0]
         return replace(self, atoms=[self.atoms[i] for i in keep], weights=self.weights[keep])
 
 
@@ -241,22 +241,21 @@ class UniformReservoir:
             raise ValueError("R must be at least 1")
         self._uniform = scalar_draws(rng).next_uniform
         self.items: list = [None] * R
-        self.indices = np.full(R, -1, dtype=int)
+        self.indices = [-1] * R
         self.count = 0
         # (1-based item count at which the slot is next replaced, slot)
         self._next = [(1, slot) for slot in range(R)]
         self._due = 1
 
     def offer(self, item) -> None:
-        self.count += 1
-        if self.count < self._due:
+        self.count = n = self.count + 1
+        if n < self._due:
             return
-        n = self.count
-        heap, random = self._next, self._uniform
+        heap, random, items, indices = self._next, self._uniform, self.items, self.indices
         while heap[0][0] == n:
             slot = heap[0][1]
-            self.items[slot] = item
-            self.indices[slot] = n - 1
+            items[slot] = item
+            indices[slot] = n - 1
             heapq.heapreplace(heap, (int(n / (1.0 - random())) + 1, slot))
         self._due = heap[0][0]
 
@@ -272,17 +271,17 @@ def reservoir_select(
     """
     reservoir = UniformReservoir(R, as_generator(rng))
     if isinstance(stream, Sequence):
-        n = len(stream)
-        while reservoir._due <= n:
-            reservoir.count = reservoir._due - 1
-            reservoir.offer(stream[reservoir.count])
+        n, offer = len(stream), reservoir.offer
+        while (due := reservoir._due) <= n:
+            reservoir.count = due - 1
+            offer(stream[due - 1])
         reservoir.count = n
     else:
         for item in stream:
             reservoir.offer(item)
     if reservoir.count == 0:
         raise ValueError("cannot select from an empty stream")
-    return reservoir.indices.copy()
+    return np.array(reservoir.indices)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,26 @@ def test_any_real_scalar_h_gives_the_values_of_eval_scalar(np_rng, wrap):
         assert est.cost_total == ref.cost_total
 
 
+def test_arity_one_h_of_one_entry_arrays_gives_the_float_values(np_rng):
+    # one-entry arrays take the moments' shape-checked route, floats the scalar one
+    model = random_finite_chain(np_rng, n_states=5)
+    col = model.h_values[:, 0].tolist()
+    h = TestFunction(col.__getitem__, 1, "floats")
+    one_entry = TestFunction(lambda s: np.array([col[s]]), 1, "one-entry arrays")
+    bundle = _finite_bundle(model)
+    for seed in range(10):
+        runs = [
+            run_coupled(bundle.kernel, 0, 3, 2, 12, RngStream(seed, i).generator()) for i in (0, 1)
+        ]
+        a, b = (signed_measure(run, 2, 12) for run in runs)
+        assert unbiased_target_variance(a, b, one_entry) == unbiased_target_variance(a, b, h)
+        est, ref = (
+            suave_multivariate(bundle, g, 2, 12, 2, 4, 0, "uniform", RngStream(seed).generator())
+            for g in (one_entry, h)
+        )
+        assert type(est.value) is float and est.value == ref.value
+
+
 def test_arity_one_h_returning_a_vector_still_raises_in_measure_sums(np_rng):
     model = random_finite_chain(np_rng, n_states=5)
     two = TestFunction(lambda s: np.array([s, 2.0 * s]), 1, "two")

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishyvar.diagnostics import bootstrap_ci, tail_fit, tv_curve, tv_upper_bound
+from fishyvar import avar, diagnostics
+from fishyvar.avar import AvarEstimate, inefficiency
+from fishyvar.diagnostics import (
+    _BLOCK_INDICES,
+    _ResampleGather,
+    bootstrap_ci,
+    tail_fit,
+    tv_curve,
+    tv_upper_bound,
+)
 from fishyvar.rng import RngStream
 
 
@@ -167,3 +176,42 @@ def test_bootstrap_requires_two_values():
 def test_bootstrap_requires_a_resample():
     with pytest.raises(ValueError, match="n_resamples"):
         bootstrap_ci([1.0, 2.0], n_resamples=0)
+
+
+# n = 7 and 200 leave a partial last block at 10^3 and 10^4 resamples; past
+# _BLOCK_INDICES replicates every block is one resample
+@pytest.mark.parametrize(
+    "n, n_resamples",
+    [(2, 1), (2, 999), (7, 1000), (7, 10**4), (200, 163), (200, 1000), (200, 10**4),
+     (_BLOCK_INDICES + 5, 3)],
+)
+def test_bootstraps_give_the_bits_of_fresh_array_gathers(monkeypatch, n, n_resamples):
+    gen = RngStream(50, n).generator()
+    values = 1e3 + gen.standard_normal(n)
+    costs = gen.integers(3, 90, size=n)
+    estimates = [AvarEstimate(float(v), int(c), 0, int(c), 1, 0.0) for v, c in zip(values, costs)]
+
+    def both():
+        return (
+            inefficiency(estimates, n_resamples, rng=RngStream(51)),
+            bootstrap_ci(values, n_resamples, rng=RngStream(52)),
+        )
+
+    kept = both()
+    fresh_gather = lambda: lambda values, idx: values[idx]  # noqa: E731
+    monkeypatch.setattr(avar, "_ResampleGather", fresh_gather)
+    monkeypatch.setattr(diagnostics, "_ResampleGather", fresh_gather)
+    assert kept == both()  # every field, exactly
+
+
+def test_resample_gather_reuses_one_buffer_and_grows_for_larger_blocks():
+    values = np.arange(10.0) ** 2
+    gather = _ResampleGather()
+    idx = np.array([[3, 1, 4], [1, 5, 9]])
+    first = gather(values, idx)
+    assert first.tolist() == values[idx].tolist()
+    second = gather(values, idx[:1])
+    assert second.tolist() == values[idx[:1]].tolist() and np.shares_memory(first, second)
+    big = np.arange(20).reshape(4, 5) % 10
+    assert gather(values, big).tolist() == values[big].tolist()
+    assert gather(values, idx).tolist() == values[idx].tolist()

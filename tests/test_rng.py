@@ -241,6 +241,48 @@ def test_pickled_state_holds_the_buffered_values_not_iterators():
     assert [twin.random() for _ in range(40)] == [rng.random() for _ in range(40)]
 
 
+def _used(rng):
+    """Part-used blocks of both kinds, and half of a 64-bit word left by ``integers``."""
+    rng.standard_normal(), [rng.random() for _ in range(40)], rng.integers(5)
+    return rng
+
+
+def test_a_restated_generator_is_a_fresh_one_of_the_new_stream():
+    rng = _used(RngStream(31).generator())
+    target = RngStream(31, 9)
+    rng.restate(target)
+    fresh = target.generator()
+    state, want = rng.bit_generator.state, fresh.bit_generator.state
+    assert state["state"]["key"].tolist() == want["state"]["key"].tolist()
+    assert state["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+    assert state["buffer"].tolist() == want["buffer"].tolist()
+    assert {k: state[k] for k in ("buffer_pos", "has_uint32", "uinteger")} == {
+        k: want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
+    }
+    assert rng.__reduce__()[2] == fresh.__reduce__()[2]  # no block kept
+
+    def draws(g):
+        return [g.integers(9), g.random(), g.standard_normal(), *g.random(5).tolist(), g.integers(9)]
+
+    assert draws(rng) == draws(fresh)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+def test_a_restated_generator_copies_to_a_fresh_ones_continuation(clone):
+    rng = _used(RngStream(32).generator())
+    target = RngStream(32, 4)
+    rng.restate(target)
+    fresh = target.generator()
+    for g in (rng, fresh):
+        _used(g)
+    twin, fresh_twin = clone(rng), clone(fresh)
+
+    def rest(g):
+        return [g.random() for _ in range(50)] + g.standard_normal(70).tolist() + [g.integers(9)]
+
+    assert rest(twin) == rest(fresh_twin) == rest(fresh)
+
+
 def test_stream_generators_are_freed_without_the_cycle_collector():
     kernel = ar1_kernel(Ar1Model(0.9))
     gc.collect()

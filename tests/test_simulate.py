@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -217,6 +220,90 @@ def test_replicates_fan_out_through_the_module_level_map(monkeypatch):
         stream.child(r).generator().random() for r in range(3)
     ]
     assert seen == [stream.child(r).stream_id for r in range(3)]
+
+
+def _draw_normals(rng):
+    return [rng.standard_normal() for _ in range(21)]
+
+
+def _draw_uniforms(rng):
+    return [rng.random() for _ in range(37)]
+
+
+def _draw_mixed(rng):
+    # scalar draws of both kinds around numpy passthroughs: integers and sized arrays
+    return (
+        [rng.random(), int(rng.integers(7)), rng.standard_normal()]
+        + rng.random(3).tolist()
+        + [int(rng.integers(1000)), rng.standard_normal(), rng.random()]
+    )
+
+
+def _draw_one_kind_by_coin(rng):
+    # about half the replicates draw only normals and half only uniforms, in no
+    # set order, so a block kept from the replicate before would show
+    return _draw_normals(rng) if rng.integers(2) else _draw_uniforms(rng)
+
+
+@pytest.mark.parametrize("n_workers", [1, 4])
+@pytest.mark.parametrize(
+    "body", [_draw_normals, _draw_uniforms, _draw_mixed, _draw_one_kind_by_coin]
+)
+def test_replicates_give_what_a_fresh_child_generator_gives(body, n_workers):
+    stream = RngStream(41, 2)
+    want = [body(child.generator()) for child in stream.children(40)]
+    assert replicates(body, stream, 40, n_workers) == want
+
+
+def test_replicates_on_more_threads_than_cores_keep_their_draws_apart():
+    # each thread re-states its own generator; one shared between threads, or
+    # a block left in it, would hand one replicate another's words
+    stream = RngStream(44)
+    want = [_draw_mixed(child.generator()) for child in stream.children(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert replicates(_draw_mixed, stream, 300, 8) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_replicates_serve_no_block_left_by_the_replicate_before():
+    # replicate r draws only normals when r is even and only uniforms when odd;
+    # each leaves part of a block, which the next replicate must not see
+    calls = iter(range(10**6))
+
+    def alternating(rng):
+        return _draw_normals(rng) if next(calls) % 2 == 0 else _draw_uniforms(rng)
+
+    stream = RngStream(42)
+    got = replicates(alternating, stream, 12)
+    want = [
+        (_draw_normals if r % 2 == 0 else _draw_uniforms)(stream.child(r).generator())
+        for r in range(12)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_replicates_build_one_generator_per_worker_thread(monkeypatch, n_workers):
+    built, seen = [], {}
+    generator = RngStream.generator
+
+    def counting(self):
+        built.append(self)
+        return generator(self)
+
+    def body(rng):
+        seen.setdefault(threading.get_ident(), set()).add(id(rng))
+        return rng.random()
+
+    monkeypatch.setattr(RngStream, "generator", counting)
+    replicates(body, RngStream(43), 30, n_workers)
+    # one generator per thread that ran a replicate, never shared between threads
+    assert len(built) == len(seen) <= n_workers
+    assert all(len(ids) == 1 for ids in seen.values())
+    assert len(set().union(*seen.values())) == len(seen)
 
 
 @pytest.mark.parametrize("n_reps", [0, -1])

@@ -120,6 +120,18 @@ class CoupledKernel:
         if self.trajectory is not None:
             object.__setattr__(self, "coupled_path", self.trajectory)
 
+    @property
+    def lanes(self) -> bool:
+        """Whether replicate drivers may run this kernel's steps on lanes.
+
+        True when ``coupled_step`` carries the attribute ``lanes = True``: the
+        kernel's states are int indices, and ``base.step`` and ``coupled_step``
+        also take int arrays of states, one per lane, drawing their uniforms
+        by ``rng.random`` with the number of lanes as the last dimension.
+        ``functools.wraps`` copies the attribute, so a wrapped step keeps it.
+        """
+        return getattr(self.coupled_step, "lanes", False)
+
     def coupled_path(
         self, x: State, y: State, rng: np.random.Generator, max_steps: int
     ) -> tuple[list, list]:
@@ -464,14 +476,34 @@ def _power_is_positive(a: np.ndarray, k: int) -> bool:
 
 def finite_step(model: FiniteChainModel, s: int, rng: np.random.Generator) -> int:
     """Sample the next state from row ``s`` of the transition matrix."""
-    return _finite_path(model._cumulative_rows, s, 1, rng)[0]
+    cum = model._cumulative_rows
+    return _finite_path(cum, np.asarray(cum), s, 1, rng)[0]
 
 
-def _finite_path(cum: Sequence[list[float]], s: int, n: int, rng) -> list:
-    """n transitions from state ``s``, each a bisection of one uniform in the cumulative row."""
+def _finite_path(cum: Sequence[list[float]], rows: np.ndarray, s, n: int, rng) -> list:
+    """n transitions from state ``s``, each a bisection of one uniform in the cumulative row.
+
+    An int array ``s`` holds one state per lane; each step then draws
+    ``rng.random(len(s))`` and reads the array ``rows`` of the same rows.
+    """
+    if isinstance(s, np.ndarray):
+        out = []
+        for _ in range(n):
+            s = _next_states(rows, s, rng.random(len(s)))
+            out.append(s)
+        return out
     uniform = scalar_draws(rng).next_uniform
     out = []
     for _ in range(n):
         s = bisect_right(cum[s], uniform())
         out.append(s)
     return out
+
+
+def _next_states(rows: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per lane, ``bisect_right(rows[s], u)``: the first index whose cumulative sum exceeds u.
+
+    ``u`` holds one uniform per lane in its last axis.  Each row ends at 1.0
+    and u < 1, so that index exists.
+    """
+    return (rows.take(s, axis=0) > u[..., None]).argmax(axis=-1)

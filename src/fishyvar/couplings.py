@@ -32,6 +32,7 @@ from .chains import (
     _finite_path,
     _gibbs_path,
     _mrth_path,
+    _next_states,
     _state_equality,
     states_equal,
 )
@@ -389,24 +390,37 @@ def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> Cou
 
 
 def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKernel:
-    """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN."""
+    """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN.
+
+    Its steps also run on lanes (int arrays of states; see
+    :attr:`~fishyvar.chains.CoupledKernel.lanes`).
+    """
     kind = _coupling_kind("finite", kind, ("maximal-rejection", "common-random-numbers"))
     cum = model._cumulative_rows
-    path = partial(_finite_path, cum)
+    rows = np.array(cum)
+    path = partial(_finite_path, cum, rows)
     base = MarkovKernel(1, _one_step(path), "finite", path)
     if kind == "maximal-rejection":
         # Python-float rows: bisect and scalar products beat numpy calls on short rows
-        return _coupled(base, partial(_finite_maximal_path, model.transition_matrix.tolist(), cum))
-    return _coupled(base, partial(_finite_crn_path, cum))
+        p = model.transition_matrix
+        kernel = _coupled(base, partial(_finite_maximal_path, p.tolist(), cum, p, rows))
+    else:
+        kernel = _coupled(base, partial(_finite_crn_path, cum, rows))
+    kernel.coupled_step.lanes = True
+    return kernel
 
 
-def _finite_maximal_path(p, cum, x, y, rng, max_steps):
+def _finite_maximal_path(p, cum, p_rows, rows, x, y, rng, max_steps):
     """Finite-chain pairs joined by the rejection maximal coupling of rows ``p[x]`` and ``p[y]``.
 
     The same draw sequence and accept rule as :func:`maximal_coupling`,
     specialized to pmf rows (the ratio test w <= q/p becomes w * p <= q,
-    exact for probabilities); equal states take one shared step.
+    exact for probabilities); equal states take one shared step.  Int arrays
+    ``x``, ``y`` run the same rule per lane on the arrays ``p_rows`` and
+    ``rows`` of the same rows (:func:`_finite_maximal_lanes`).
     """
+    if isinstance(x, np.ndarray):
+        return _lane_pairs(partial(_finite_maximal_lanes, p_rows, rows), x, y, rng, max_steps)
     uniform = scalar_draws(rng).next_uniform
     xs, ys = [], []
     for _ in range(max_steps):
@@ -424,9 +438,7 @@ def _finite_maximal_path(p, cum, x, y, rng, max_steps):
                     if uniform() * row_y[y] > row_x[y]:
                         break
                 else:
-                    raise MaximalCouplingCapError(
-                        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
-                    )
+                    raise _cap_error()
             x = nxt
         xs.append(x)
         ys.append(y)
@@ -435,8 +447,72 @@ def _finite_maximal_path(p, cum, x, y, rng, max_steps):
     return xs, ys
 
 
-def _finite_crn_path(cum, x, y, rng, max_steps):
-    """Finite-chain pairs that bisect one shared uniform in their two rows."""
+def _cap_error() -> MaximalCouplingCapError:
+    return MaximalCouplingCapError(
+        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
+    )
+
+
+# Rejection rounds a lane step draws at a time, the first ones with its first two blocks.
+_LANE_ROUNDS = 6
+
+
+def _finite_maximal_lanes(p_rows, rows, x, y, rng):
+    """One maximal-coupling step per lane, on whole blocks in the scalar loop's draw order.
+
+    Blocks 0 and 1 serve the X proposal and its acceptance test, and
+    rejection round j blocks 2 + 2j (Y's proposal, from its original row)
+    and 3 + 2j (its test).  A lane with equal states always passes the test
+    (u p <= p for u < 1), as the scalar loop's shared step does without
+    drawing it.  Rounds are drawn ``_LANE_ROUNDS`` at a time while any lane
+    still rejects; a lane keeps its first accepted round, reading only its own
+    word of each block, so it follows the scalar rule on its words, cap
+    included.
+    """
+    m = len(x)
+    u = rng.random((2 + 2 * _LANE_ROUNDS, m))
+    x_next = _next_states(rows, x, u[0])
+    y_next = x_next.copy()
+    apart = (u[1] * p_rows[x, x_next] > p_rows[y, x_next]).nonzero()[0]
+    u = u[2:]
+    done = 0  # rejection rounds behind
+    while apart.size:
+        rounds = min(_LANE_ROUNDS, DEFAULT_REJECTION_CAP - done)
+        if rounds <= 0:
+            raise _cap_error()
+        if done:
+            u = rng.random((2 * _LANE_ROUNDS, m))
+        u_apart = u[: 2 * rounds, apart]
+        xa, ya = x[apart], y[apart]
+        proposals = _next_states(rows, ya, u_apart[0::2])
+        accepted = u_apart[1::2] * p_rows[ya, proposals] > p_rows[xa, proposals]
+        first = accepted.argmax(axis=0)
+        lanes = np.arange(len(apart))
+        y_next[apart] = proposals[first, lanes]
+        apart = apart[~accepted[first, lanes]]
+        done += rounds
+    return x_next, y_next
+
+
+def _lane_pairs(step, x, y, rng, max_steps):
+    """Up to ``max_steps`` lane steps ``step(x, y, rng)``, stopping once every lane has met."""
+    xs, ys = [], []
+    for left in range(max_steps - 1, -1, -1):
+        x, y = step(x, y, rng)
+        xs.append(x)
+        ys.append(y)
+        if left and np.array_equal(x, y):
+            break
+    return xs, ys
+
+
+def _finite_crn_path(cum, rows, x, y, rng, max_steps):
+    """Finite-chain pairs that bisect one shared uniform in their two rows.
+
+    Int arrays ``x``, ``y`` share one block per step, lane by lane.
+    """
+    if isinstance(x, np.ndarray):
+        return _lane_pairs(partial(_finite_crn_lanes, rows), x, y, rng, max_steps)
     uniform = scalar_draws(rng).next_uniform
     xs, ys = [], []
     for _ in range(max_steps):
@@ -448,3 +524,8 @@ def _finite_crn_path(cum, x, y, rng, max_steps):
         if x == y:
             break
     return xs, ys
+
+
+def _finite_crn_lanes(rows, x, y, rng):
+    u = rng.random(len(x))
+    return _next_states(rows, x, u), _next_states(rows, y, u)

@@ -13,16 +13,21 @@ Each estimate consumes two kernel transitions per coupled step, so its cost is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction, _state_equality
-from .rng import RngStream, as_generator
+from .rng import LaneDraws, RngStream, as_generator
 from .simulate import (
     _CHUNK_STEPS,
     DEFAULT_TRANSITION_BUDGET,
+    LANES,
     TransitionBudgetError,
+    lane_batches,
+    lane_h,
+    lockstep,
     map_replicates,
 )
 
@@ -64,7 +69,8 @@ def estimate_fishy(
 ) -> FishyEstimate:
     """Unbiased estimate of g(x) - g(y) from one lag-0 coupled run.
 
-    ``x == y`` short-circuits to a zero estimate with zero cost.
+    ``x == y`` short-circuits to a zero estimate with zero cost, and a
+    meeting at the first step returns h(x) - h(y) without a loop over pairs.
     """
     rng = as_generator(rng)
     met = _state_equality(x, y)
@@ -75,18 +81,20 @@ def estimate_fishy(
     # the cost after step tau is 2 tau; the budget trips at the first step reaching it
     tau_max = (budget + 1) // 2 if budget > 1 else 1
     path = kernel.coupled_path
-    tau = 0
-    cx, cy = x, y
+    xs, ys = path(x, y, rng, tau_max if tau_max < _CHUNK_STEPS else _CHUNK_STEPS)
+    tau = len(xs)
+    if tau == 1 and met(xs[0], ys[0]):
+        return FishyEstimate(h.vector(acc), y, x, 1, 2)
     while True:
-        left = tau_max - tau
-        xs, ys = path(cx, cy, rng, left if left < _CHUNK_STEPS else _CHUNK_STEPS)
-        tau += len(xs)
         for cx, cy in zip(xs, ys):
             if met(cx, cy):  # only the last pair can meet; h(X_tau) - h(Y_tau) is not a term
                 return FishyEstimate(h.vector(acc), y, x, tau, 2 * tau)
             acc += hfn(cx) - hfn(cy)
         if tau >= tau_max:
             raise TransitionBudgetError(0, 2 * tau)
+        left = tau_max - tau
+        xs, ys = path(cx, cy, rng, left if left < _CHUNK_STEPS else _CHUNK_STEPS)
+        tau += len(xs)
 
 
 def estimate_fishy_randomized(
@@ -144,6 +152,10 @@ def fishy_profile(
 
     Reports the Monte Carlo mean, its standard error, the raw second moment
     and the mean cost per estimate, one row per grid point in grid order.
+    Each point runs its replicates on its own child stream: one after another
+    on one generator, or on a lane kernel (:attr:`CoupledKernel.lanes`) as
+    lockstep lanes, each lane's estimate being :func:`estimate_fishy`'s
+    telescoping sum on that lane's run, bit for bit.
     """
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
@@ -155,13 +167,17 @@ def fishy_profile(
 
     def one_point(args) -> tuple[float, float, float, float]:
         point, child = args
-        values = np.empty(n_reps)
-        costs = np.empty(n_reps)
-        gen = child.generator()
-        for r in range(n_reps):
-            est = estimate_fishy(kernel, h, point, y, gen)
-            values[r] = est.value[0]
-            costs[r] = est.cost_units
+        if kernel.lanes:
+            batches = lane_batches(partial(_lane_fishy, kernel, h, point, y), child, n_reps)
+            values, costs = np.concatenate(batches, axis=1)
+        else:
+            values = np.empty(n_reps)
+            costs = np.empty(n_reps)
+            gen = child.generator()
+            for r in range(n_reps):
+                est = estimate_fishy(kernel, h, point, y, gen)
+                values[r] = est.value[0]
+                costs[r] = est.cost_units
         return (
             float(values.mean()),
             float(values.std(ddof=1) / np.sqrt(n_reps)),
@@ -174,3 +190,29 @@ def fishy_profile(
     mean, se, m2, cost = (np.array(col) for col in zip(*rows))
     xs = np.array([float(p) for p in points])
     return FishyProfile(xs, mean, se, m2, cost, y, n_reps)
+
+
+def _lane_fishy(kernel, h, x, y, batch: tuple[RngStream, int]) -> np.ndarray:
+    """Rows of the values and the costs of the lanes of one batch of lag-0 runs from ``(x, y)``.
+
+    A lane's sum adds h(X_t) - h(Y_t) for t < tau in time order onto
+    h(x) - h(y), as :func:`estimate_fishy` does; ``x == y`` gives zeros
+    without a draw.
+    """
+    stream, n = batch
+    if x == y:
+        return np.zeros((2, n))
+    draws = LaneDraws(stream, LANES)
+    terms = []  # (lanes apart at t, X_t, Y_t)
+
+    def visit(t, xs, ys, apart):
+        if apart.size:
+            terms.append((apart, xs[apart], ys[apart]))
+
+    tau = lockstep(kernel, np.full(n, x), np.full(n, y), 0, 0, draws, visit=visit)
+    starts = np.array([x, y])
+    table = lane_h(h, starts, *(term[1] for term in terms), *(term[2] for term in terms))[:, 0]
+    acc = np.full(n, table[x] - table[y])
+    for apart, xs, ys in terms:
+        acc[apart] += table[xs] - table[ys]
+    return np.array((acc, 2 * tau))

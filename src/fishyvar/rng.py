@@ -30,6 +30,22 @@ a kind to be the same however it is drawn asks for scalars.  Each Philox
 output is still used once, so the distributions are numpy's; the
 interleaving of normals and uniforms in the stream differs from unbuffered
 draws.  A generator passed in by a caller is used as is.
+
+Lane-addressed blocks.  Replicate drivers that run a batch of replicates as
+lanes in lockstep (see :mod:`fishyvar.simulate`) draw through
+:class:`LaneDraws`.  A batch has its own stream; its generator serves the
+lanes' initial states from counter 0 on, as any stream does.  Before
+lockstep step t the batch's Philox is re-stated to the counter (0, t, 0, 0),
+and the step's blocks of ``width`` words (256 for the drivers) follow in a
+fixed ordinal order.  Philox makes four words per counter, so block o
+spans the counters whose first word runs from o w/4 + 1 to (o + 1) w/4 and
+whose second word is t.
+Lane i always takes word i of a block, whatever the number of live lanes,
+so a lane's draws, and so its replicate's result, depend on the batch key,
+the lane, the step and the ordinal alone, and no two (batch, step, ordinal)
+share a key and counter (Salmon et al. 2011, "Parallel random numbers: as
+easy as 1, 2, 3").  The initial-state draws would reach a step's counters
+only after 2^64 counters.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ from typing import Callable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RngStream", "as_generator", "scalar_draws"]
+__all__ = ["RngStream", "LaneDraws", "as_generator", "scalar_draws"]
 
 # Children of a stream occupy the block [id * BRANCH + 1, id * BRANCH + BRANCH],
 # so sibling subtrees never collide; `child` rejects fan-outs beyond BRANCH.
@@ -58,6 +74,7 @@ _Generator = np.random.Generator
 _NORMAL, _UNIFORM = 0, 1
 _BULK_DRAWS = ("standard_normal", "random")
 _chain_blocks = chain.from_iterable  # looked up once: the class attribute lookup is slow
+_MANTISSA_SHIFT, _ULP = np.uint64(11), 2.0**-53  # a raw word's uniform, as Generator.random
 _NOTHING_BUFFERED = {"buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
@@ -232,6 +249,62 @@ class RngStream:
         if n > _BRANCH:
             raise ValueError(f"at most {_BRANCH} children, or sibling subtrees collide")
         return [RngStream(self.master_seed, self.stream_id * _BRANCH + 1 + i) for i in range(n)]
+
+
+class LaneDraws:
+    """Lane-addressed uniforms of one batch of lockstep lanes.
+
+    ``generator`` is the batch stream's generator, for the lanes' initial
+    states; it must not be drawn from once :meth:`step` has run.  A lockstep
+    step calls :meth:`step`, then for each kernel call :meth:`take` with the
+    lanes it moves; within the call, :meth:`random` returns the next blocks'
+    words at those lanes.  A step's blocks are drawn once, in block order, as
+    raw 64-bit words into one buffer, and shared by the step's calls, whose
+    lanes are disjoint; a word w serves the uniform (w >> 11) 2^-53, which is
+    ``Generator.random()``'s value for it.
+    """
+
+    __slots__ = ("generator", "width", "_bits", "_key", "_words", "_drawn", "_lanes", "_next")
+
+    def __init__(self, stream: "RngStream", width: int):
+        self.generator = stream.generator()
+        self.width = width
+        self._bits = self.generator.bit_generator
+        self._key = (stream.stream_id, stream.master_seed)
+        self._words = np.empty((16, width), dtype=np.uint64)
+
+    def step(self, t: int) -> None:
+        """Re-state the Philox to step ``t``'s counters and forget the blocks drawn before."""
+        state = {"counter": (0, t, 0, 0), "key": self._key}
+        self._bits.state = {"bit_generator": "Philox", "state": state, **_NOTHING_BUFFERED}
+        self._drawn = 0
+
+    def take(self, lanes: np.ndarray) -> "LaneDraws":
+        """Itself, serving ``lanes`` from the step's first block on."""
+        self._lanes = lanes
+        self._next = 0
+        return self
+
+    def random(self, size=None) -> np.ndarray:
+        """The next block's uniforms at the lanes taken (rows of ``size[0]`` blocks for a tuple)."""
+        first = self._next
+        rows = isinstance(size, tuple)
+        self._next = end = first + (size[0] if rows else 1)
+        words = self._blocks(end)
+        taken = words[first:end, self._lanes] if rows else words[first, self._lanes]
+        return (taken >> _MANTISSA_SHIFT) * _ULP
+
+    def _blocks(self, end: int) -> np.ndarray:
+        """The buffer, holding at least the step's first ``end`` blocks."""
+        drawn, words = self._drawn, self._words
+        if end > drawn:
+            if end > len(words):
+                grown = np.empty((2 * end, self.width), dtype=np.uint64)
+                grown[:drawn] = words[:drawn]
+                self._words = words = grown
+            words[drawn:end] = self._bits.random_raw((end - drawn, self.width))
+            self._drawn = end
+        return words
 
 
 def as_generator(rng: np.random.Generator | RngStream | None) -> np.random.Generator:

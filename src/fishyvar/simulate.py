@@ -7,7 +7,12 @@ one unit per single-chain step and two units per coupled step.
 
 Replicate r draws from its own :class:`~fishyvar.rng.RngStream`,
 ``stream.child(r)``, so results are reproducible bit-for-bit from the seed
-alone.
+alone.  On a kernel whose steps run on lanes (:attr:`CoupledKernel.lanes`,
+the finite chains), the replicate drivers instead run replicate r as lane
+r % LANES of batch r // LANES, all lanes of a batch in lockstep
+(:func:`lockstep`) on lane-addressed blocks (:class:`~fishyvar.rng.LaneDraws`)
+of the batch stream ``stream.child(r // LANES)``; r's result is then a
+function of the stream and r alone, whatever the number of replicates.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .chains import CoupledKernel, State, _state_equality
-from .rng import RngStream, as_generator
+from .chains import CoupledKernel, State, TestFunction, _state_equality
+from .rng import LaneDraws, RngStream, as_generator
 
 __all__ = [
     "CoupledRun",
@@ -31,6 +36,8 @@ __all__ = [
     "sample_meetings",
     "replicates",
     "map_replicates",
+    "lockstep",
+    "LANES",
     "DEFAULT_TRANSITION_BUDGET",
 ]
 
@@ -39,6 +46,9 @@ DEFAULT_TRANSITION_BUDGET = 10**8
 # Coupled steps per trajectory call of `run_coupled` and `estimate_fishy`, so
 # a run holds a bounded number of states at once however late its chains meet.
 _CHUNK_STEPS = 4096
+
+# Lanes per lockstep batch, and the width of every lane-addressed block.
+LANES = 256
 
 
 class TransitionBudgetError(RuntimeError):
@@ -202,6 +212,17 @@ def sample_meetings(
     ordered by replicate index.
     """
 
+    if kernel.lanes:
+
+        def batch(item: tuple[RngStream, int]) -> list[MeetingSample]:
+            draws = LaneDraws(item[0], LANES)
+            x0, y0 = lane_starts(init_sampler, draws.generator, item[1])
+            taus = lockstep(kernel, x0, y0, lag, 0, draws).tolist()
+            costs = [2 * tau - lag for tau in taus]
+            return list(map(MeetingSample, taus, repeat(lag), x0.tolist(), y0.tolist(), costs))
+
+        return [sample for samples in lane_batches(batch, stream, n_reps) for sample in samples]
+
     def body(rng: np.random.Generator) -> MeetingSample:
         x0 = init_sampler(rng)
         y0 = init_sampler(rng)
@@ -255,3 +276,97 @@ def map_replicates(
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep lanes
+# ---------------------------------------------------------------------------
+
+
+def lane_batches(
+    batch: Callable[[tuple[RngStream, int]], T], stream: RngStream, n_reps: int
+) -> list[T]:
+    """``batch((stream.child(b), fill))`` for each batch b of LANES replicates, in batch order.
+
+    Replicate r is lane r % LANES of batch r // LANES, and ``fill`` is the
+    batch's number of replicates.  Batches go through :func:`map_replicates`.
+    """
+    if n_reps < 1:
+        raise ValueError("n_reps must be at least 1")
+    batches = stream.children(-(-n_reps // LANES))
+    fills = [min(LANES, n_reps - b * LANES) for b in range(len(batches))]
+    return map_replicates(batch, list(zip(batches, fills)))
+
+
+def lane_starts(
+    init_sampler: Callable[[np.random.Generator], State], rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """X_0 and Y_0 of ``n`` lanes, ``init_sampler`` called for X_0 then Y_0 lane by lane."""
+    starts = [init_sampler(rng) for _ in range(2 * n)]
+    return np.array(starts[::2]), np.array(starts[1::2])
+
+
+def lockstep(
+    kernel: CoupledKernel,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    lag: int,
+    horizon: int,
+    draws: LaneDraws,
+    budget: int = DEFAULT_TRANSITION_BUDGET,
+    visit: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """Meeting times of the lag-coupled runs of lanes i from ``(x0[i], y0[i])``, in lockstep.
+
+    Each lane follows :func:`run_coupled`'s schedule: ``lag`` warm-up steps
+    of X, coupled steps until X_t = Y_{t-lag}, then X alone up to index
+    ``horizon``; a lane is dropped once it is done, and the budget trips as
+    there.  Step t re-states ``draws`` and calls ``kernel.base.step`` once
+    for the lanes moving X alone and ``kernel.coupled_step`` once for the
+    lanes still coupling, so lane i draws word i of step t's blocks.
+    ``visit(t, x, y, apart)``, after each step t from 0 on, sees X_t at
+    ``x[i]`` for every lane that moved and, for the lanes ``apart`` whose
+    pair has not met by step t, Y_{t-lag} at ``y[i]``.
+    """
+    lanes = np.arange(len(x0))
+    none = lanes[:0]
+    x, y = x0.copy(), y0.copy()
+    tau = np.zeros(len(lanes), dtype=np.int64)
+    apart = lanes if lag else lanes[x0 != y0]
+    ahead = none if lag else lanes[x0 == y0]  # met lanes whose X runs on to the horizon
+    t_max = (budget + lag + 1) // 2 if budget > lag + 1 else lag + 1
+    step, coupled = kernel.base.step, kernel.coupled_step
+    if visit is not None:
+        visit(0, x, y, none)
+    t = 0
+    while True:
+        t += 1
+        alone = lanes if t <= lag else ahead if t <= horizon else none
+        pairs = apart if t > lag else none
+        if not (alone.size or pairs.size):
+            return tau
+        draws.step(t)
+        if pairs.size:
+            xs, ys = coupled(x[pairs], y[pairs], draws.take(pairs))
+            x[pairs], y[pairs] = xs, ys
+            met = xs == ys
+            apart = pairs
+            if met.any():
+                tau[pairs[met]] = t
+                ahead = np.concatenate((ahead, pairs[met]))
+                apart = pairs[~met]
+            if apart.size and t >= t_max:
+                raise TransitionBudgetError(lag, 2 * t - lag)
+        if alone.size:
+            x[alone] = step(x[alone], draws.take(alone))
+        if visit is not None:
+            visit(t, x, y, apart if pairs.size else none)
+
+
+def lane_h(h: TestFunction, *states: np.ndarray) -> np.ndarray:
+    """A table of h's values indexed by state, one row per int state seen in ``states``."""
+    seen = np.flatnonzero(np.bincount(np.concatenate(states)))
+    hfn = h.evaluator
+    table = np.zeros((seen[-1] + 1, h.arity))
+    table[seen] = np.reshape(np.array([hfn(s) for s in seen.tolist()], dtype=float), (-1, h.arity))
+    return table

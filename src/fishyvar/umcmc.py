@@ -21,8 +21,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction
-from .rng import RngStream, as_generator, scalar_draws
-from .simulate import CoupledRun, replicates, run_coupled
+from .rng import LaneDraws, RngStream, as_generator, scalar_draws
+from .simulate import (
+    LANES,
+    CoupledRun,
+    lane_batches,
+    lane_h,
+    lane_starts,
+    lockstep,
+    replicates,
+    run_coupled,
+)
 
 __all__ = [
     "SignedMeasure",
@@ -82,10 +91,7 @@ class UnbiasedEstimate:
 def _measure_lists(run: CoupledRun, k: int, ell: int) -> tuple[list, list[float]]:
     """Atoms and weights of a retained run's signed measure, in atom order."""
     lag = run.lag
-    if lag < 1:
-        raise ValueError("the time-averaged estimator requires lag >= 1")
-    if k > ell:
-        raise ValueError("k must not exceed ell")
+    _check_window(k, ell, lag)
     if run.horizon < ell:
         raise ValueError(f"run horizon {run.horizon} falls short of ell = {ell}")
     w0 = 1.0 / (ell - k + 1)
@@ -96,6 +102,13 @@ def _measure_lists(run: CoupledRun, k: int, ell: int) -> tuple[list, list[float]
         atoms += (run.x_path[t], run.y_at(t - lag))
         weights += (v, -v)
     return atoms, weights
+
+
+def _check_window(k: int, ell: int, lag: int) -> None:
+    if lag < 1:
+        raise ValueError("the time-averaged estimator requires lag >= 1")
+    if k > ell:
+        raise ValueError("k must not exceed ell")
 
 
 def _integral(atoms: Sequence, weights: Sequence[float], h: TestFunction) -> np.ndarray:
@@ -299,7 +312,18 @@ def sample_unbiased(
     n_reps: int,
     stream: RngStream,
 ) -> list[UnbiasedEstimate]:
-    """Independent replicates of the time-averaged estimator of pi(h)."""
+    """Independent replicates of the time-averaged estimator of pi(h).
+
+    On a lane kernel (:attr:`CoupledKernel.lanes`) replicates run as lockstep
+    lanes (:func:`~fishyvar.simulate.lockstep`); each lane's value, cost and
+    meeting time are :func:`h_kl_estimator`'s on that lane's run, bit for bit.
+    """
+    if kernel.lanes:
+
+        def batch(item: tuple[RngStream, int]) -> list[UnbiasedEstimate]:
+            return _lane_estimates(kernel, init_sampler, h, k, ell, lag, *item)
+
+        return [e for estimates in lane_batches(batch, stream, n_reps) for e in estimates]
 
     def body(rng: np.random.Generator) -> UnbiasedEstimate:
         x0 = init_sampler(rng)
@@ -308,6 +332,42 @@ def sample_unbiased(
         return h_kl_estimator(run, h, k, ell)
 
     return replicates(body, stream, n_reps)
+
+
+def _lane_estimates(kernel, init_sampler, h, k, ell, lag, stream, n) -> list[UnbiasedEstimate]:
+    """The estimates of ``n`` lockstep lanes on batch stream ``stream``.
+
+    Each lane's integral adds the same terms in the same order as
+    :func:`_integral` over :func:`_measure_lists`: the ergodic block
+    X_k..X_ell, then the correction pairs in time order.
+    """
+    _check_window(k, ell, lag)
+    draws = LaneDraws(stream, LANES)
+    x0, y0 = lane_starts(init_sampler, draws.generator, n)
+    block: list[np.ndarray] = []  # X_k..X_ell on every lane
+    pairs: list[tuple] = []  # (t, lanes apart at t, X_t, Y_{t-lag}) for t >= k + lag
+
+    def visit(t, x, y, apart):
+        if k <= t <= ell:
+            block.append(x.copy())
+        if t >= k + lag and apart.size:
+            pairs.append((t, apart, x[apart], y[apart]))
+
+    tau = lockstep(kernel, x0, y0, lag, ell, draws, visit=visit)
+    table = lane_h(h, *block, *(p[2] for p in pairs), *(p[3] for p in pairs))
+    w0 = 1.0 / (ell - k + 1)
+    total = np.zeros((n, h.arity))
+    for x in block:
+        total += w0 * table[x]
+    for t, apart, x, y in pairs:
+        v = vt_weight(t, k, ell, lag) * w0
+        total[apart] += v * table[x]
+        total[apart] += -v * table[y]
+    costs = (np.maximum(lag, ell + lag - tau) + 2 * (tau - lag)).tolist()
+    return [
+        UnbiasedEstimate(value, cost, k, ell, lag, t)
+        for value, cost, t in zip(total, costs, tau.tolist())
+    ]
 
 
 ELL_MULTIPLE = 5  # pilot-tuned ell as a multiple of k

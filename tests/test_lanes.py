@@ -1,0 +1,353 @@
+"""Lockstep lanes: finite-chain replicates run as lanes of batches.
+
+Replicate r of ``sample_unbiased``, ``sample_meetings`` and ``fishy_profile``
+on a finite kernel is lane r % LANES of batch r // LANES.  The reference
+below runs one lane alone with the scalar rules, reading each word from a
+Philox built for its own (batch key, step, ordinal) counter, so it shares no
+code with the lane drivers' draws.
+"""
+
+from __future__ import annotations
+
+import functools
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+
+from fishyvar import couplings, simulate
+from fishyvar.chains import CoupledKernel, MarkovKernel
+from fishyvar.couplings import MaximalCouplingCapError, finite_kernel
+from fishyvar.fishy import estimate_fishy, fishy_profile
+from fishyvar.rng import LaneDraws, RngStream
+from fishyvar.simulate import (
+    LANES,
+    CoupledRun,
+    MeetingSample,
+    TransitionBudgetError,
+    lockstep,
+    run_coupled,
+    sample_meetings,
+)
+from fishyvar.umcmc import h_kl_estimator, sample_unbiased
+
+from conftest import random_finite_chain
+
+KINDS = ("maximal-rejection", "common-random-numbers")
+
+
+class Words:
+    """Word i of block o of step t of one batch, from a Philox at that block's counter."""
+
+    def __init__(self, batch: RngStream):
+        self.key = [batch.stream_id, batch.master_seed]
+        self.blocks: dict[tuple[int, int], np.ndarray] = {}
+
+    def __call__(self, t: int, ordinal: int, *, lane: int) -> float:
+        block = self.blocks.get((t, ordinal))
+        if block is None:
+            # Philox steps its counter before each output, so counter c + 1 comes first
+            start = [ordinal * LANES // 4, t, 0, 0]
+            bits = np.random.Philox(key=self.key, counter=start)
+            block = self.blocks[t, ordinal] = np.random.Generator(bits).random(LANES)
+        return float(block[lane])
+
+
+class Reference:
+    """One lane's run by the scalar rules of the finite kernels, on its own words."""
+
+    def __init__(self, model, kind: str, words: Words, lane: int):
+        self.p = model.transition_matrix.tolist()
+        self.cum = model._cumulative_rows
+        self.kind = kind
+        self.words = functools.partial(words, lane=lane)
+        self.read: list[float] = []  # every word read, in the scalar loops' draw order
+        self.rounds = 0  # most rejection rounds any step needed
+
+    def u(self, t, ordinal):
+        self.read.append(self.words(t, ordinal))
+        return self.read[-1]
+
+    def step(self, x, t):
+        return bisect_right(self.cum[x], self.u(t, 0))
+
+    def coupled(self, x, y, t):
+        u0 = self.u(t, 0)
+        if self.kind == "common-random-numbers":
+            return bisect_right(self.cum[x], u0), bisect_right(self.cum[y], u0)
+        nxt = bisect_right(self.cum[x], u0)
+        if x == y:
+            return nxt, nxt
+        if self.u(t, 1) * self.p[x][nxt] <= self.p[y][nxt]:
+            return nxt, nxt
+        j = 0
+        while True:
+            proposal = bisect_right(self.cum[y], self.u(t, 2 + 2 * j))
+            j += 1
+            if self.u(t, 3 + 2 * (j - 1)) * self.p[y][proposal] > self.p[x][proposal]:
+                self.rounds = max(self.rounds, j)
+                return nxt, proposal
+
+    def run(self, x0, y0, lag, horizon) -> CoupledRun:
+        xs, ys = [x0], [y0]
+        for t in range(1, lag + 1):
+            xs.append(self.step(xs[-1], t))
+        t = lag
+        if lag or x0 != y0:
+            x, y = xs[-1], y0
+            while True:
+                t += 1
+                x, y = self.coupled(x, y, t)
+                xs.append(x)
+                ys.append(y)
+                if x == y:
+                    break
+        tau = t
+        while t < horizon:
+            t += 1
+            xs.append(self.step(xs[-1], t))
+        return CoupledRun(lag, xs, ys, tau, 2 * tau - lag + max(0, horizon - tau))
+
+
+class Replay:
+    """A generator stub whose ``random()`` serves the given words in order."""
+
+    def __init__(self, words):
+        self.random = iter(words).__next__
+
+
+def lane_starts(init, batch: RngStream, lane: int):
+    rng = batch.generator()
+    starts = [(init(rng), init(rng)) for _ in range(lane + 1)]
+    return starts[lane]
+
+
+def reference_run(model, kind, init, stream, r, lag, horizon):
+    batch = stream.child(r // LANES)
+    x0, y0 = lane_starts(init, batch, r % LANES)
+    ref = Reference(model, kind, Words(batch), r % LANES)
+    return ref.run(x0, y0, lag, horizon), ref
+
+
+def _chain(seed, d=1):
+    model = random_finite_chain(np.random.default_rng(seed), d=d)
+    return model, (lambda rng: int(rng.integers(model.n_states)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_each_unbiased_lane_is_the_scalar_estimator_on_its_words(kind, d):
+    model, init = _chain(3, d)
+    kernel = finite_kernel(model, kind)
+    h = model.test_function()
+    stream = RngStream(5)
+    n, k, ell, lag = LANES + 40, 2, 9, 2
+    estimates = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
+    for r in (0, 1, 77, LANES - 1, LANES, n - 1):
+        run, ref = reference_run(model, kind, init, stream, r, lag, ell)
+        # the reference is the kernel's own scalar loops on the words it read
+        replayed = run_coupled(kernel, run.x_path[0], run.y_path[0], lag, ell, Replay(ref.read))
+        assert (replayed.x_path, replayed.y_path) == (run.x_path, run.y_path)
+        direct = h_kl_estimator(run, h, k, ell)
+        assert estimates[r].value.tolist() == direct.value.tolist()
+        assert (estimates[r].cost_units, estimates[r].tau) == (direct.cost_units, direct.tau)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("lag", [0, 3])
+def test_each_meeting_lane_is_the_scalar_run_on_its_words(kind, lag):
+    model, init = _chain(4)
+    kernel = finite_kernel(model, kind)
+    stream = RngStream(6)
+    n = 300
+    samples = sample_meetings(kernel, init, lag, n, stream)
+    for r in (0, 5, LANES - 1, LANES, n - 1):
+        run, _ = reference_run(model, kind, init, stream, r, lag, 0)
+        x0, y0 = run.x_path[0], run.y_path[0]
+        assert samples[r] == MeetingSample(run.meeting_time, lag, x0, y0, run.cost_units)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_fishy_lane_is_the_scalar_telescoping_sum_on_its_words(kind):
+    model, _ = _chain(5)
+    kernel = finite_kernel(model, kind)
+    h = model.test_function()
+    stream = RngStream(7)
+    n_reps, grid, y = LANES + 3, [0, 2, 3], 2
+    profile = fishy_profile(kernel, h, grid, y, n_reps, stream)
+    for p, x in enumerate(grid):
+        values, costs = [], []
+        for r in range(n_reps):
+            if x == y:
+                values.append(0.0)
+                costs.append(0)
+                continue
+            batch = stream.child(p).child(r // LANES)
+            run = Reference(model, kind, Words(batch), r % LANES).run(x, y, 0, 0)
+            total = h.fn(x) - h.fn(y)
+            for cx, cy in zip(run.x_path[1:-1], run.y_path[1:-1]):
+                total += h.fn(cx) - h.fn(cy)
+            values.append(total)
+            costs.append(2 * run.meeting_time)
+        values = np.array(values)
+        assert profile.mean[p] == values.mean()
+        assert profile.second_moment[p] == np.mean(values**2)
+        assert profile.se[p] == values.std(ddof=1) / np.sqrt(n_reps)
+        assert profile.mean_cost[p] == np.mean(costs)
+
+
+def test_a_fishy_lane_is_estimate_fishy_on_the_words_it_reads():
+    model, _ = _chain(6)
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    stream = RngStream(8)
+    profile = fishy_profile(kernel, h, [1], 0, 2, stream)
+    values = []
+    for lane in (0, 1):
+        ref = Reference(model, "maximal-rejection", Words(stream.child(0).child(0)), lane)
+        ref.run(1, 0, 0, 0)
+        values.append(estimate_fishy(kernel, h, 1, 0, Replay(ref.read)).value[0])
+    assert profile.mean[0] == np.mean(values)
+
+
+def test_replicate_counts_agree_on_every_shared_replicate():
+    model, init = _chain(9)
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    stream = RngStream(10)
+    counts = (1, 255, 256, 257, 600)
+    unbiased = {n: sample_unbiased(kernel, init, h, 3, 15, 2, n, stream) for n in counts}
+    meetings = {n: sample_meetings(kernel, init, 1, n, stream) for n in counts}
+    longest = unbiased[600]
+    for n, estimates in unbiased.items():
+        assert [(e.value.tolist(), e.cost_units, e.tau) for e in estimates] == [
+            (e.value.tolist(), e.cost_units, e.tau) for e in longest[:n]
+        ]
+        assert meetings[n] == meetings[600][:n]
+
+
+def test_blocks_of_distinct_steps_ordinals_and_batches_share_no_counter():
+    # the counters each block spans, read from the Philox around its draw
+    spans = set()
+    for b in range(3):
+        batch = RngStream(11).child(b)
+        draws = LaneDraws(batch, LANES)
+        lanes = np.arange(LANES)
+        for t in (1, 2, 3, 64, 65, 2**40):
+            draws.step(t)
+            draws.take(lanes)
+            for ordinal in range(6):
+                before = draws.generator.bit_generator.state["state"]
+                draws.random(LANES)
+                after = draws.generator.bit_generator.state["state"]
+                key = tuple(int(w) for w in before["key"])
+                first, last = int(before["counter"][0]) + 1, int(after["counter"][0])
+                assert last - first + 1 == LANES // 4
+                assert [int(w) for w in after["counter"][1:]] == [t, 0, 0]
+                block = {(key, c, t) for c in range(first, last + 1)}
+                assert not spans & block, (b, t, ordinal)
+                spans |= block
+    # the blocks' words are the reference's, a Philox at the block's own counter
+    draws = LaneDraws(RngStream(11).child(1), LANES)
+    words = Words(RngStream(11).child(1))
+    draws.step(3)
+    lanes = np.array([200, 0])
+    blocks = [draws.take(lanes).random(2), draws.random(2)]
+    assert blocks[1].tolist() == [words(3, 1, lane=200), words(3, 1, lane=0)]
+    # a second call of the same step reads the same blocks at its own lanes
+    assert draws.take(np.array([7])).random(1).tolist() == [words(3, 0, lane=7)]
+
+
+def test_step_counters_lie_above_every_initial_state_draw():
+    batch = RngStream(12).child(0)
+    rng = batch.generator()
+    for _ in range(4 * LANES):
+        rng.integers(4)
+    assert rng.bit_generator.state["state"]["counter"][1] == 0
+
+
+def test_budget_trips_per_lane_at_the_scalar_cost():
+    model, init = _chain(13)
+    kernel = finite_kernel(model)
+    stream = RngStream(14)
+    lag, budget = 1, 5  # at most two coupled steps
+    x0, y0 = simulate.lane_starts(init, stream.generator(), 40)
+    with pytest.raises(TransitionBudgetError) as lanes:
+        lockstep(kernel, x0, y0, lag, 0, LaneDraws(stream, LANES), budget=budget)
+    scalar = None
+    for seed in range(200):
+        try:
+            run_coupled(kernel, 0, 1, lag, 0, RngStream(15, seed).generator(), budget=budget)
+        except TransitionBudgetError as exc:
+            scalar = exc
+            break
+    assert scalar is not None
+    assert (lanes.value.lag, lanes.value.transitions) == (scalar.lag, scalar.transitions)
+
+
+def test_rejection_cap_trips_at_the_scalar_round(monkeypatch):
+    model, init = _chain(16)
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    stream = RngStream(17)
+    n, k, ell, lag = 64, 2, 9, 2
+    rounds = max(
+        reference_run(model, "maximal-rejection", init, stream, r, lag, ell)[1].rounds
+        for r in range(n)
+    )
+    assert rounds >= 1
+    expected = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
+    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", rounds)
+    capped = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
+    assert [e.value.tolist() for e in capped] == [e.value.tolist() for e in expected]
+    for cap in (rounds - 1, 0):
+        monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", cap)
+        with pytest.raises(MaximalCouplingCapError):
+            sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
+
+
+def _traced(fn):
+    @functools.wraps(fn)
+    def traced(*args, **kwargs):
+        traced.calls += 1
+        return fn(*args, **kwargs)
+
+    traced.calls = 0
+    return traced
+
+
+def test_wrapped_kernels_keep_the_lanes_and_unmarked_ones_run_scalar():
+    model, init = _chain(18)
+    kernel = finite_kernel(model)
+    h = model.test_function()
+    # rebuilt from its two steps the way a tracer wraps them
+    base = MarkovKernel(1, _traced(kernel.base.step), "finite")
+    wrapped = CoupledKernel(base, _traced(kernel.coupled_step))
+    assert kernel.lanes and wrapped.lanes
+    stream = RngStream(19)
+    n, k, ell, lag = 300, 3, 15, 2
+
+    def outputs(kern):
+        unbiased = sample_unbiased(kern, init, h, k, ell, lag, n, stream)
+        profile = fishy_profile(kern, h, [0, 1, 2, 3], 0, 50, stream.child(1))
+        meetings = sample_meetings(kern, init, 1, n, stream.child(2))
+        return (
+            [(e.value.tolist(), e.cost_units, e.tau) for e in unbiased],
+            [profile.mean.tolist(), profile.se.tolist(), profile.mean_cost.tolist()],
+            meetings,
+        )
+
+    assert outputs(wrapped) == outputs(kernel)
+    # one lockstep call per step of a batch, not one per transition
+    assert 0 < wrapped.coupled_step.calls < n
+    assert 0 < base.step.calls < n
+
+    unmarked = CoupledKernel(kernel.base, lambda x, y, rng: kernel.coupled_step(x, y, rng))
+    assert not unmarked.lanes
+    estimates = sample_unbiased(unmarked, init, h, k, ell, lag, 6, stream)
+    for r in (0, 5):
+        rng = stream.child(r).generator()
+        x0, y0 = init(rng), init(rng)
+        direct = h_kl_estimator(run_coupled(unmarked, x0, y0, lag, ell, rng), h, k, ell)
+        assert estimates[r].value.tolist() == direct.value.tolist()
+        assert (estimates[r].cost_units, estimates[r].tau) == (direct.cost_units, direct.tau)

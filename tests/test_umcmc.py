@@ -25,6 +25,7 @@ from fishyvar.umcmc import (
 )
 
 from conftest import mc_mean_se, random_finite_chain
+from test_lanes import reference_run
 
 IDENTITY = TestFunction(lambda x: float(x), 1, "identity")
 
@@ -115,7 +116,9 @@ def test_finite_chain_unbiased_for_stationary_mean(np_rng):
     assert abs(mean - oracle.pi_h[0]) < 3 * se
 
 
-def test_sample_unbiased_replicate_r_runs_on_child_r(np_rng):
+def test_sample_unbiased_replicate_r_runs_as_lane_r_of_its_batch(np_rng):
+    # finite kernels run replicates as lockstep lanes; the reference runs lane
+    # r % LANES of batch r // LANES alone, on the block words it addresses
     model = random_finite_chain(np_rng)
     kernel = finite_kernel(model)
     h = model.test_function()
@@ -124,9 +127,8 @@ def test_sample_unbiased_replicate_r_runs_on_child_r(np_rng):
     n, k, ell, lag = 6, 2, 9, 2
     estimates = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
     for r in (0, n - 1):
-        rng = stream.child(r).generator()
-        x0, y0 = init(rng), init(rng)
-        direct = h_kl_estimator(run_coupled(kernel, x0, y0, lag, ell, rng), h, k, ell)
+        run, _ = reference_run(model, "maximal-rejection", init, stream, r, lag, ell)
+        direct = h_kl_estimator(run, h, k, ell)
         assert estimates[r].value.tolist() == direct.value.tolist()
         assert (estimates[r].cost_units, estimates[r].tau) == (direct.cost_units, direct.tau)
 

@@ -24,7 +24,7 @@ import pytest
 
 from fishyvar.avar import inefficiency, sample_suave
 from fishyvar.chains import Ar1Model, CauchyNormalModel, ModelBundle, TestFunction
-from fishyvar.couplings import ar1_kernel, cauchy_gibbs_kernel, finite_kernel
+from fishyvar.couplings import ar1_kernel, cauchy_gibbs_kernel, cauchy_mrth_kernel, finite_kernel
 from fishyvar.diagnostics import bootstrap_ci
 from fishyvar.rng import RngStream
 from fishyvar.simulate import sample_meetings
@@ -73,6 +73,12 @@ def finite_suave() -> str:
     return _suave_digest(sample_suave(bundle, h, 3, 15, 2, 2, 0, 200, RngStream(103)))
 
 
+def cauchy_mrth() -> str:
+    init = lambda rng: 10.0 * rng.standard_normal()
+    bundle = ModelBundle(cauchy_mrth_kernel(CauchyNormalModel()), init, "cauchy-mrth")
+    return _suave_digest(sample_suave(bundle, IDENTITY, 5, 30, 3, 2, 0.0, 20, RngStream(108)))
+
+
 def cauchy_meetings() -> str:
     kernel = cauchy_gibbs_kernel(CauchyNormalModel())
     init = lambda rng: 10.0 * rng.standard_normal()
@@ -101,12 +107,14 @@ CASES = {
     "ar1_suave": ar1_suave,
     "finite_suave": finite_suave,
     "cauchy_meetings": cauchy_meetings,
+    "cauchy_mrth": cauchy_mrth,
 }
 
 DIGESTS = {
     "ar1_suave": "e82adfdd63609f31cea31712dbcf4a054d490d7361e26785ce00bfc7461d15ff",
     "finite_suave": "6c9ca4df2bd47dc093059b893dddadfd8acbb91f8e7067a29c60857572368fd7",
     "cauchy_meetings": "e88b45c99e956f75d640d91fb16c716af5af03a9a2b100a1070b755093b31816",
+    "cauchy_mrth": "5ce2e5cf1400f5a85538ec648fb8a25627ce5a4a6d9312578b93f8c3dfc7cf80",
     "bootstrap_summaries": "a50fa02ca247d350013a08637167926d1104edc451339e560e0670d354e7c67c",
 }
 BLAS_PROBE = "a2d2b4189127cd0995506046abe747b742817ed988370c84ab6c41abe54ccb40"

@@ -28,10 +28,6 @@ from .chains import (
     MarkovKernel,
     ModelBundle,
     TestFunction,
-    ar1_step,
-    finite_step,
-    gibbs_step,
-    mrth_step,
 )
 from .config import ExperimentConfig, build_bundle, build_model, finite_chain_from_csv, load_config
 from .couplings import (
@@ -39,8 +35,6 @@ from .couplings import (
     ar1_kernel,
     cauchy_gibbs_kernel,
     cauchy_mrth_kernel,
-    coupled_gibbs_step,
-    coupled_mrth_step,
     finite_kernel,
     maximal_coupling,
     reflection_maximal_1d,

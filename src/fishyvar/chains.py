@@ -1,10 +1,12 @@
 """Target models, Markov kernels and test functions.
 
-A :class:`MarkovKernel` wraps a single-chain transition that leaves the model's
-target distribution invariant; a :class:`CoupledKernel` adds a faithful
-pairwise transition whose marginals are both the base kernel and which keeps
-equal states equal forever.  Built-in models: an AR(1) process, a Cauchy
-location posterior sampled either by a Gibbs sampler with Exponential
+A :class:`MarkovKernel` runs trajectories of a single-chain transition that
+leaves the model's target distribution invariant; a :class:`CoupledKernel`
+adds a faithful pairwise transition whose marginals are both the base kernel
+and which keeps equal states equal forever.  Each built-in kernel writes its
+transition once, as a trajectory loop; one step from ``x`` is
+``kernel.base.path(x, 1, rng)[0]``.  Built-in models: an AR(1) process, a
+Cauchy location posterior sampled either by a Gibbs sampler with Exponential
 auxiliaries or by a random-walk MRTH kernel, and finite-state chains given by
 an explicit transition matrix (the substrate for exact oracles).
 
@@ -34,12 +36,6 @@ __all__ = [
     "Ar1Model",
     "CauchyNormalModel",
     "FiniteChainModel",
-    "ar1_step",
-    "gibbs_step",
-    "gibbs_conditional",
-    "sample_eta",
-    "mrth_step",
-    "finite_step",
     "states_equal",
 ]
 
@@ -219,17 +215,12 @@ class Ar1Model:
     def __post_init__(self) -> None:
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (0, 1)")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     @property
     def stationary_var(self) -> float:
         return self.sigma**2 / (1.0 - self.phi**2)
-
-
-def ar1_step(model: Ar1Model, x: float, rng: np.random.Generator) -> float:
-    """One autoregressive transition.  Broadcasts over array-valued ``x``."""
-    return _ar1_path(model.phi, model.sigma, x, 1, rng)[0]
 
 
 def _ar1_path(phi: float, sigma: float, x: State, n: int, rng: np.random.Generator) -> list:
@@ -269,11 +260,13 @@ class CauchyNormalModel:
     mrth_proposal_sd: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.prior_variance <= 0.0:
-            raise ValueError("prior_variance must be positive")
-        if self.mrth_proposal_sd <= 0.0:
-            raise ValueError("mrth_proposal_sd must be positive")
+        if not 0.0 < self.prior_variance < math.inf:
+            raise ValueError("prior_variance must be positive and finite")
+        if not 0.0 < self.mrth_proposal_sd < math.inf:
+            raise ValueError("mrth_proposal_sd must be positive and finite")
         object.__setattr__(self, "observations", tuple(float(z) for z in self.observations))
+        if not all(map(math.isfinite, self.observations)):
+            raise ValueError("observations must be finite")
 
     def log_density(self, theta: float) -> float:
         out = -0.5 * theta * theta / self.prior_variance
@@ -283,47 +276,13 @@ class CauchyNormalModel:
         return out
 
 
-def _neg2_log(u: float) -> float:
-    """-2 log U, the Exponential(rate 1/2) draw by inverse CDF; U = 0 gives +inf, as np.log."""
-    return -2.0 * math.log(u) if u > 0.0 else math.inf
-
-
-def _conditional(model: CauchyNormalModel, s: float, sz: float) -> tuple[float, float]:
-    """Mean and variance of theta given sum(eta) = ``s`` and sum(eta * z) = ``sz``."""
-    denom = s + 1.0 / model.prior_variance
-    return sz / denom, 1.0 / denom
-
-
-def sample_eta(model: CauchyNormalModel, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Auxiliary Exponential draws of the Gibbs sweep, by inverse CDF.
-
-    eta_i ~ Exponential(rate (1 + (theta - z_i)^2) / 2), realised as
-    -2 log(U_i) / (1 + (theta - z_i)^2).  Inverse-CDF sampling is what makes
-    a common-uniform coupling of the eta draws exact.
-    """
-    z = model.observations
-    return np.array([_neg2_log(rng.random()) / (1.0 + (theta - zi) ** 2) for zi in z])
-
-
-def gibbs_conditional(model: CauchyNormalModel, eta: Sequence[float]) -> tuple[float, float]:
-    """Mean and variance of theta given the auxiliary variables."""
-    s = sz = 0.0
-    for z, e in zip(model.observations, map(float, eta)):
-        s += e
-        sz += e * z
-    return _conditional(model, s, sz)
-
-
-def gibbs_step(model: CauchyNormalModel, theta: float, rng: np.random.Generator) -> float:
-    """One auxiliary-variable Gibbs sweep: eta update then theta update."""
-    return _gibbs_path(model, theta, 1, rng)[0]
-
-
 def _gibbs_path(model: CauchyNormalModel, theta: float, n: int, rng) -> list:
-    """n Gibbs sweeps from ``theta``: :func:`sample_eta` then the theta update, per sweep.
+    """n auxiliary-variable Gibbs sweeps from ``theta``.
 
-    The -2 log U draws and the conditional of :func:`_conditional` are
-    written out, so a sweep makes no Python call but the draws.
+    A sweep draws one uniform per observation, in order, then one normal.
+    eta_i = -2 log(U_i) / (1 + (theta - z_i)^2) is Exponential by inverse CDF,
+    which makes a common-uniform coupling of the eta draws exact; then theta
+    is Normal(sum(eta z) / d, 1 / d) for d = sum(eta) + 1 / prior_variance.
     """
     draws = scalar_draws(rng)
     normal, uniform = draws.next_normal, draws.next_uniform
@@ -349,42 +308,28 @@ def _gibbs_path(model: CauchyNormalModel, theta: float, n: int, rng) -> list:
 # ---------------------------------------------------------------------------
 
 
-def mrth_step(
-    logdensity: Callable[[float], float],
-    proposal_sd: float,
-    x: float,
-    rng: np.random.Generator,
-) -> float:
-    """Random-walk MRTH transition with Normal proposal.
-
-    Proposes Normal(x, proposal_sd^2) and accepts with probability
-    min(1, exp(logdensity(x*) - logdensity(x))), ties accepted.  A NaN
-    log-density at the proposed point rejects the move and emits a warning.
-    """
-    if proposal_sd <= 0.0:
-        raise ValueError("proposal_sd must be positive")
-    return _mrth_path(logdensity, proposal_sd, x, 1, rng)[0]
-
-
 def _mrth_path(
     logdensity: Callable[[float], float], proposal_sd: float, x: float, n: int, rng
 ) -> list:
-    """n MRTH transitions from ``x``; ``proposal_sd`` is taken as positive."""
+    """n random-walk MRTH transitions from ``x`` with Normal(x, proposal_sd^2) proposals.
+
+    A proposal x* is accepted with probability min(1, exp(logdensity(x*) -
+    logdensity(x))), ties accepted; a NaN log-density at x* rejects it with a
+    warning.  ``proposal_sd`` is taken as positive.
+    """
     draws = scalar_draws(rng)
     normal, uniform = draws.next_normal, draws.next_uniform
-    log, ninf = math.log, -math.inf
     out = []
     for _ in range(n):
         proposal = x + proposal_sd * normal()
-        u = uniform()
-        if _accepts(log(u) if u > 0.0 else ninf, logdensity(proposal) - logdensity(x)):
+        if _accepts(uniform(), logdensity(proposal) - logdensity(x)):
             x = proposal
         out.append(x)
     return out
 
 
-def _accepts(log_u: float, delta: float) -> bool:
-    """MRTH accept test for log-ratio ``delta``; a NaN ratio rejects with a warning."""
+def _accepts(u: float, delta: float) -> bool:
+    """The MRTH accept test log(u) <= delta, ties accepted; a NaN delta rejects with a warning."""
     if math.isnan(delta):
         warnings.warn(
             "log-density returned NaN at proposed point; move rejected",
@@ -392,7 +337,7 @@ def _accepts(log_u: float, delta: float) -> bool:
             stacklevel=3,
         )
         return False
-    return log_u <= delta
+    return (math.log(u) if u > 0.0 else -math.inf) <= delta
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +365,7 @@ class FiniteChainModel:
         p = np.asarray(self.transition_matrix, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
             raise ValueError("transition_matrix must be square")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("every transition-matrix row must sum to 1 within 1e-12")
@@ -429,6 +374,8 @@ class FiniteChainModel:
             h = h[:, None]
         if h.shape[0] != p.shape[0]:
             raise ValueError("h_values must have one row per state")
+        if not np.isfinite(h).all():
+            raise ValueError("h_values must be finite")
         n = p.shape[0]
         support = (p > 0.0).astype(float)
         if not _power_is_positive(np.maximum(np.eye(n), support), n - 1):
@@ -472,12 +419,6 @@ def _power_is_positive(a: np.ndarray, k: int) -> bool:
         a = np.minimum(a @ a, 1)
         k >>= 1
     return bool(out.all())
-
-
-def finite_step(model: FiniteChainModel, s: int, rng: np.random.Generator) -> int:
-    """Sample the next state from row ``s`` of the transition matrix."""
-    cum = model._cumulative_rows
-    return _finite_path(cum, np.asarray(cum), s, 1, rng)[0]
 
 
 def _finite_path(cum: Sequence[list[float]], rows: np.ndarray, s, n: int, rng) -> list:

@@ -366,7 +366,7 @@ def _finite(cfg: ExperimentConfig, params: dict) -> FiniteChainModel:
         raise ConfigError(
             "config key 'test_function' must keep its default: 'model.h_values' is the test function"
         )
-    where = "config section 'model'" if csv_path is None else csv_path
+    where = "config section 'model'" if csv_path is None else f"config section 'model' ({csv_path})"
     return _finite_chain(where, matrix, h_values)
 
 

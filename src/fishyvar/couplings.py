@@ -43,8 +43,6 @@ __all__ = [
     "maximal_coupling",
     "reflection_maximal_1d",
     "reflection_maximal_nd",
-    "coupled_mrth_step",
-    "coupled_gibbs_step",
     "ar1_kernel",
     "cauchy_gibbs_kernel",
     "cauchy_mrth_kernel",
@@ -90,10 +88,7 @@ def maximal_coupling(
         log_w = math.log(w) if w > 0.0 else -math.inf
         if log_w > log_p(y) - log_q(y):
             return x, y, False
-    raise MaximalCouplingCapError(
-        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations; "
-        "the density ratio is likely near-singular"
-    )
+    raise _cap_error()
 
 
 def reflection_maximal_1d(
@@ -106,21 +101,14 @@ def reflection_maximal_1d(
 
     Uses exactly one Normal and one uniform draw.  On acceptance Y = X (the
     chains meet); on rejection the residual is reflected, so
-    (X - mu1) = -(Y - mu2).  Broadcasts over arrays of means; means that are
-    not both floats (arrays, integers) take the broadcasting branch, which
-    consumes the same draws and returns arrays.  Numpy float64 means are
-    floats, so they stay on the scalar branch.  ``sigma`` must be positive
-    (not NaN).
+    (X - mu1) = -(Y - mu2).  Float means (numpy float64 included) take the
+    scalar formula :func:`_reflect`.  Other means (arrays, integers) take the
+    broadcasting branch, its independent array form, which draws sized arrays
+    (the same words on a plain numpy generator) and returns arrays.
+    ``sigma`` must be positive (not NaN).
     """
     if isinstance(mu1, float) and isinstance(mu2, float) and sigma > 0.0:
-        z = (mu1 - mu2) / sigma
-        xdot = rng.standard_normal()
-        w = rng.random()
-        x = mu1 + sigma * xdot
-        log_w = math.log(w) if w > 0.0 else -math.inf
-        if log_w <= -0.5 * (z + xdot) ** 2 + 0.5 * xdot**2:
-            return x, x, True
-        return x, mu2 - sigma * xdot, False
+        return _reflect(mu1, mu2, sigma, rng.standard_normal(), rng.random())
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     mu1, mu2 = np.broadcast_arrays(np.asarray(mu1, float), np.asarray(mu2, float))
@@ -132,6 +120,19 @@ def reflection_maximal_1d(
         met = np.log(w) <= -0.5 * (z + xdot) ** 2 + 0.5 * xdot**2
     y = np.where(met, x, mu2 - sigma * xdot)
     return x, y, met
+
+
+def _reflect(mu1: float, mu2: float, sigma: float, xdot: float, w: float):
+    """The scalar reflection-maximal coupling on its draws: standard normal ``xdot``, uniform ``w``.
+
+    Returns ``(x, y, met)`` as :func:`reflection_maximal_1d` does, whose
+    broadcasting branch is the array form of the same formula.
+    """
+    z = (mu1 - mu2) / sigma
+    x = mu1 + sigma * xdot
+    if (math.log(w) if w > 0.0 else -math.inf) <= -0.5 * (z + xdot) ** 2 + 0.5 * xdot**2:
+        return x, x, True
+    return x, mu2 - sigma * xdot, False
 
 
 def reflection_maximal_nd(
@@ -169,73 +170,38 @@ def reflection_maximal_nd(
     return x, chol @ ydot + mu2, False
 
 
-def coupled_mrth_step(
-    logdensity: Callable[[float], float],
-    proposal_sd: float,
-    x: float,
-    y: float,
-    rng: np.random.Generator,
-) -> tuple[float, float, bool]:
-    """Coupled MRTH transition: reflection-maximal proposals, one shared uniform.
-
-    Returns the pair of next states and whether the proposals coincided.  Equal
-    inputs give identical proposals and identical accept decisions, so the
-    chains stay merged.
-    """
-    xs, ys, proposals_met = _coupled_mrth_path(logdensity, proposal_sd, x, y, rng, 1)
-    return xs[0], ys[0], proposals_met
-
-
 def _coupled_mrth_path(logdensity, proposal_sd, x, y, rng, max_steps):
     """Coupled MRTH steps until the chains meet or ``max_steps`` have run.
 
-    Returns the lists of states and whether the last step's proposals met.
+    The two proposals are reflection-maximal (:func:`_reflect`) and both
+    chains share one acceptance uniform, so equal states make identical
+    proposals and identical accept decisions and stay merged.
     """
-    uniform = scalar_draws(rng).next_uniform
-    log, ninf = math.log, -math.inf
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
     xs, ys = [], []
-    proposals_met = False
     for _ in range(max_steps):
-        xstar, ystar, proposals_met = reflection_maximal_1d(x, y, proposal_sd, rng)
+        xstar, ystar, _ = _reflect(x, y, proposal_sd, normal(), uniform())
         u = uniform()
-        log_u = log(u) if u > 0.0 else ninf
-        log_x = logdensity(x)
-        x_next = xstar if _accepts(log_u, logdensity(xstar) - log_x) else x
-        if proposals_met and x == y:
-            y = x_next
-        elif _accepts(log_u, logdensity(ystar) - logdensity(y)):
+        if _accepts(u, logdensity(xstar) - logdensity(x)):
+            x = xstar
+        if _accepts(u, logdensity(ystar) - logdensity(y)):
             y = ystar
-        x = x_next
         xs.append(x)
         ys.append(y)
         if x == y:
             break
-    return xs, ys, proposals_met
-
-
-def coupled_gibbs_step(
-    model: CauchyNormalModel,
-    theta: float,
-    theta_tilde: float,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Coupled Gibbs sweep for the Cauchy location posterior.
-
-    The auxiliary Exponential draws share uniforms through the inverse CDF;
-    the location updates are joined by a maximal coupling of the two
-    conditional Normals, whose rejection loop is capped at
-    ``DEFAULT_REJECTION_CAP`` iterations.
-    """
-    xs, ys = _coupled_gibbs_path(model, theta, theta_tilde, rng, 1)
-    return xs[0], ys[0]
+    return xs, ys
 
 
 def _coupled_gibbs_path(model: CauchyNormalModel, x, y, rng, max_steps):
     """Coupled Gibbs sweeps until the chains meet or ``max_steps`` have run.
 
-    Each sweep is :func:`~fishyvar.chains.gibbs_step` on both chains with
-    shared auxiliary uniforms, and :func:`maximal_coupling`, looked up when
-    it runs, for the location updates.
+    Each sweep is the sweep of :func:`~fishyvar.chains._gibbs_path` on both
+    chains: the auxiliary Exponential draws share uniforms through the
+    inverse CDF, and the location updates are joined by
+    :func:`maximal_coupling`, looked up when it runs, so its rejection loop
+    is capped at ``DEFAULT_REJECTION_CAP`` iterations.
     """
     draws = scalar_draws(rng)
     normal, uniform = draws.next_normal, draws.next_uniform
@@ -320,10 +286,12 @@ def ar1_kernel(model: Ar1Model, kind: str | None = None) -> CoupledKernel:
 
 
 def _ar1_reflection_path(phi, sigma, x, y, rng, max_steps):
-    """AR(1) pairs joined by :func:`reflection_maximal_1d` of the two means.
+    """AR(1) pairs joined by the reflection-maximal coupling of the two means.
 
-    Float states run its scalar branch written out, on the draw functions;
-    other states (arrays, int starts) call it until both states are floats.
+    Float states run the formula of :func:`_reflect` written out on the draw
+    functions (a call per step costs ar1-suave about a tenth of its speed);
+    other states (arrays, int starts) call :func:`reflection_maximal_1d`
+    until both states are floats.
     """
     xs, ys = [], []
     while len(xs) < max_steps and not (isinstance(x, float) and isinstance(y, float)):
@@ -382,11 +350,7 @@ def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> Cou
     sd = model.mrth_proposal_sd
     path = partial(_mrth_path, logdensity, sd)
     base = MarkovKernel(1, _one_step(path), "cauchy-mrth", path)
-
-    def pairs(x, y, rng, max_steps):
-        return _coupled_mrth_path(logdensity, sd, x, y, rng, max_steps)[:2]
-
-    return _coupled(base, pairs)
+    return _coupled(base, partial(_coupled_mrth_path, logdensity, sd))
 
 
 def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKernel:
@@ -449,7 +413,8 @@ def _finite_maximal_path(p, cum, p_rows, rows, x, y, rng, max_steps):
 
 def _cap_error() -> MaximalCouplingCapError:
     return MaximalCouplingCapError(
-        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations"
+        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations; "
+        "the density ratio is likely near-singular"
     )
 
 

@@ -36,6 +36,16 @@ def vector_ar1_kernel(phi: float = 0.6) -> tuple[CoupledKernel, list]:
     return CoupledKernel(MarkovKernel(2, step), coupled), pairs
 
 
+def plain_twins(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two plain numpy generators on one Philox stream.
+
+    A sized draw there reads the words of as many unsized ones, so the
+    broadcasting branch of ``reflection_maximal_1d`` follows a scalar loop
+    draw for draw.
+    """
+    return np.random.Generator(np.random.Philox(seed)), np.random.Generator(np.random.Philox(seed))
+
+
 def mc_mean_se(values) -> tuple[float, float]:
     """Monte Carlo mean and its standard error for i.i.d. replicates."""
     values = np.asarray(values, dtype=float)

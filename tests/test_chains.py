@@ -8,18 +8,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fishyvar.chains import (
-    Ar1Model,
-    CauchyNormalModel,
-    FiniteChainModel,
-    ar1_step,
-    finite_step,
-    gibbs_conditional,
-    gibbs_step,
-    mrth_step,
-    sample_eta,
-)
-from fishyvar.couplings import finite_kernel
+from fishyvar.chains import Ar1Model, CauchyNormalModel, FiniteChainModel, _mrth_path
+from fishyvar.couplings import ar1_kernel, cauchy_gibbs_kernel, cauchy_mrth_kernel, finite_kernel
 from fishyvar.rng import RngStream
 
 from conftest import batch_se, random_finite_chain
@@ -41,32 +31,29 @@ class _FixedNormal:
 
 
 def test_ar1_zero_state_passes_noise_through():
-    model = Ar1Model(phi=0.99, sigma=1.0)
-    assert ar1_step(model, 0.0, _FixedNormal(1.3)) == 1.3
+    base = ar1_kernel(Ar1Model(phi=0.99, sigma=1.0)).base
+    assert base.path(0.0, 1, _FixedNormal(1.3)) == [1.3]
 
 
 def test_ar1_noiseless_contraction():
-    model = Ar1Model(phi=0.5, sigma=2.0)
-    assert ar1_step(model, 4.0, _FixedNormal(0.0)) == 2.0
+    base = ar1_kernel(Ar1Model(phi=0.5, sigma=2.0)).base
+    assert base.path(4.0, 1, _FixedNormal(0.0)) == [2.0]
 
 
 def test_ar1_invalid_params():
-    with pytest.raises(ValueError):
-        Ar1Model(phi=1.0)
-    with pytest.raises(ValueError):
-        Ar1Model(phi=0.5, sigma=0.0)
+    for phi in (1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="phi"):
+            Ar1Model(phi=phi)
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            Ar1Model(phi=0.5, sigma=sigma)
 
 
 def test_ar1_stationary_moments():
     model = Ar1Model(phi=0.5, sigma=1.0)
     rng = RngStream(11).generator()
     n = 10**5
-    path = np.empty(n)
-    x = 0.0
-    for i in range(n):
-        x = ar1_step(model, x, rng)
-        path[i] = x
-    path = path[1000:]
+    path = np.array(ar1_kernel(model).base.path(0.0, n, rng))[1000:]
     mean, se_mean = batch_se(path)
     assert abs(mean - 0.0) < 3 * se_mean
     var, se_var = batch_se((path - path.mean()) ** 2)
@@ -74,9 +61,9 @@ def test_ar1_stationary_moments():
 
 
 def test_ar1_replay_is_bit_identical():
-    model = Ar1Model(phi=0.9, sigma=2.0)
+    base = ar1_kernel(Ar1Model(phi=0.9, sigma=2.0)).base
     stream = RngStream(4, 2)
-    assert ar1_step(model, 1.5, stream.generator()) == ar1_step(model, 1.5, stream.generator())
+    assert base.path(1.5, 1, stream.generator()) == base.path(1.5, 1, stream.generator())
 
 
 # ---------------------------------------------------------------------------
@@ -84,44 +71,64 @@ def test_ar1_replay_is_bit_identical():
 # ---------------------------------------------------------------------------
 
 
+class _Uniforms:
+    """Generator stub serving preset uniforms and a fixed normal draw."""
+
+    def __init__(self, uniforms, normal: float = 0.0):
+        self.random = iter(uniforms).__next__
+        self.normal = normal
+
+    def standard_normal(self):
+        return self.normal
+
+
 def test_gibbs_conditional_mean_bounded_by_observations(np_rng):
-    model = CauchyNormalModel()
+    # with a zero normal draw the sweep returns the conditional mean of theta
+    model = CauchyNormalModel(prior_variance=4.0)
+    base = cauchy_gibbs_kernel(model).base
     a = max(abs(z) for z in model.observations)
     for _ in range(10_000):
-        eta = np_rng.exponential(1.0, size=3) * np_rng.uniform(0.01, 50.0)
-        mean, var = gibbs_conditional(model, eta)
+        theta = float(np_rng.normal(0.0, 20.0))
+        u = np_rng.uniform(1e-12, 1.0, size=3).tolist()
+        mean = base.path(theta, 1, _Uniforms(u))[0]
         assert -a < mean < a
-        assert var <= model.prior_variance
+        # a unit normal draw adds one conditional sd, at most the prior's
+        sd = base.path(theta, 1, _Uniforms(u, 1.0))[0] - mean
+        assert 0.0 < sd <= math.sqrt(model.prior_variance) * (1 + 1e-12)
 
 
-def test_eta_draws_match_exponential_rates():
-    model = CauchyNormalModel()
-    rng = RngStream(3).generator()
-    theta = 2.0
-    draws = np.array([sample_eta(model, theta, rng) for _ in range(40_000)])
-    rates = (1.0 + (theta - np.asarray(model.observations)) ** 2) / 2.0
-    for i, rate in enumerate(rates):
-        assert stats.kstest(draws[:, i], "expon", args=(0, 1.0 / rate)).pvalue > 1e-3
+def _reference_eta(model: CauchyNormalModel, theta: float, rng) -> np.ndarray:
+    """The auxiliary draws of the sweep by inverse CDF, one uniform per observation in order."""
+    z = np.asarray(model.observations)
+    u = np.array([rng.random() for _ in z])
+    return -2.0 * np.log(u) / (1.0 + (theta - z) ** 2)
 
 
 def _reference_gibbs_step(model: CauchyNormalModel, theta: float, rng) -> float:
-    """The array formula of the sweep: one uniform per observation in order, then one normal."""
+    """The array formula of the sweep: :func:`_reference_eta`, then one normal."""
     z = np.asarray(model.observations)
-    u = np.array([rng.random() for _ in z])
-    eta = -2.0 * np.log(u) / (1.0 + (theta - z) ** 2)
+    eta = _reference_eta(model, theta, rng)
     denom = np.sum(eta) + 1.0 / model.prior_variance
     return float(np.dot(eta, z) / denom + math.sqrt(1.0 / denom) * rng.standard_normal())
+
+
+def test_eta_draws_match_exponential_rates():
+    # the sweep follows these draws (test_gibbs_step_draw_sequence_matches_array_reference)
+    model = CauchyNormalModel()
+    rng = RngStream(3).generator()
+    theta = 2.0
+    draws = np.array([_reference_eta(model, theta, rng) for _ in range(40_000)])
+    rates = (1.0 + (theta - np.asarray(model.observations)) ** 2) / 2.0
+    for i, rate in enumerate(rates):
+        assert stats.kstest(draws[:, i], "expon", args=(0, 1.0 / rate)).pvalue > 1e-3
 
 
 def test_gibbs_step_draw_sequence_matches_array_reference():
     model = CauchyNormalModel()
     rng, rng_ref = RngStream(21).generator(), RngStream(21).generator()
     n = 10**4
-    got, want = np.empty(n), np.empty(n)
-    theta = 0.0
-    for i in range(n):
-        want[i] = _reference_gibbs_step(model, theta, rng_ref)
-        theta = got[i] = gibbs_step(model, theta, rng)
+    got = cauchy_gibbs_kernel(model).base.path(0.0, n, rng)
+    want = [_reference_gibbs_step(model, theta, rng_ref) for theta in [0.0, *got[:-1]]]
     # the scalar sweep sums in another order and uses math.log, so the last bits
     # may differ; a moved draw would shift values by the posterior's own scale.
     # The absolute floor covers draws that cancel to near 0.
@@ -141,16 +148,8 @@ def test_gibbs_and_mrth_sample_the_same_posterior():
     model = CauchyNormalModel()
     n = 10**5
     rng = RngStream(5).generator()
-    gibbs_path = np.empty(n)
-    theta = 0.0
-    for i in range(n):
-        theta = gibbs_step(model, theta, rng)
-        gibbs_path[i] = theta
-    mrth_path = np.empty(n)
-    theta = 0.0
-    for i in range(n):
-        theta = mrth_step(model.log_density, model.mrth_proposal_sd, theta, rng)
-        mrth_path[i] = theta
+    gibbs_path = np.array(cauchy_gibbs_kernel(model).base.path(0.0, n, rng))
+    mrth_path = np.array(cauchy_mrth_kernel(model).base.path(0.0, n, rng))
     # thin before the two-sample test so autocorrelation does not distort it
     p = stats.ks_2samp(gibbs_path[1000::10], mrth_path[1000::10]).pvalue
     assert p > 1e-3
@@ -161,13 +160,8 @@ def test_gibbs_and_mrth_sample_the_same_posterior():
 
 def test_mrth_flat_target_always_accepts():
     rng = RngStream(6).generator()
-    x = 0.0
-    moved = 0
-    for _ in range(200):
-        nxt = mrth_step(lambda _t: 0.0, 1.0, x, rng)
-        moved += nxt != x
-        x = nxt
-    assert moved == 200
+    path = [0.0, *_mrth_path(lambda _t: 0.0, 1.0, 0.0, 200, rng)]
+    assert all(a != b for a, b in zip(path, path[1:]))
 
 
 def test_mrth_zero_density_proposal_never_accepted():
@@ -176,8 +170,7 @@ def test_mrth_zero_density_proposal_never_accepted():
     def logdensity(t):
         return 0.0 if t == 0.0 else -math.inf
 
-    for _ in range(200):
-        assert mrth_step(logdensity, 1.0, 0.0, rng) == 0.0
+    assert _mrth_path(logdensity, 1.0, 0.0, 200, rng) == [0.0] * 200
 
 
 def test_mrth_nan_logdensity_rejects_with_warning():
@@ -187,20 +180,35 @@ def test_mrth_nan_logdensity_rejects_with_warning():
         return 0.0 if t == 0.5 else math.nan
 
     with pytest.warns(RuntimeWarning):
-        assert mrth_step(logdensity, 1.0, 0.5, rng) == 0.5
+        assert _mrth_path(logdensity, 1.0, 0.5, 1, rng) == [0.5]
 
 
 def test_mrth_acceptance_rate_moderate_on_posterior():
     model = CauchyNormalModel()
     rng = RngStream(9).generator()
-    theta = 0.0
-    accepted = 0
     n = 20_000
-    for _ in range(n):
-        nxt = mrth_step(model.log_density, model.mrth_proposal_sd, theta, rng)
-        accepted += nxt != theta
-        theta = nxt
+    path = [0.0, *cauchy_mrth_kernel(model).base.path(0.0, n, rng)]
+    accepted = sum(a != b for a, b in zip(path, path[1:]))
     assert 0.0 < accepted / n < 1.0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"prior_variance": 0.0},
+        {"prior_variance": -1.0},
+        {"prior_variance": math.nan},
+        {"prior_variance": math.inf},
+        {"mrth_proposal_sd": 0.0},
+        {"mrth_proposal_sd": math.nan},
+        {"mrth_proposal_sd": math.inf},
+        {"observations": (1.0, math.nan)},
+        {"observations": (-math.inf, 2.0)},
+    ],
+)
+def test_cauchy_model_rejects_nonpositive_and_nonfinite_parameters(params):
+    with pytest.raises(ValueError, match=next(iter(params))):
+        CauchyNormalModel(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +219,8 @@ def test_mrth_acceptance_rate_moderate_on_posterior():
 def test_finite_point_mass_row_is_deterministic():
     model = FiniteChainModel(np.array([[0.0, 1.0], [0.5, 0.5]]), np.zeros((2, 1)))
     rng = RngStream(10).generator()
-    assert all(finite_step(model, 0, rng) == 1 for _ in range(100))
+    base = finite_kernel(model).base
+    assert all(base.path(0, 1, rng) == [1] for _ in range(100))
 
 
 def test_finite_identity_rows_never_move():
@@ -222,7 +231,8 @@ def test_finite_identity_rows_never_move():
     object.__setattr__(model, "h_values", np.zeros((3, 1)))
     object.__setattr__(model, "_cumulative_rows", np.cumsum(np.eye(3), axis=1))
     rng = RngStream(11).generator()
-    assert all(finite_step(model, s, rng) == s for s in (0, 1, 2) for _ in range(50))
+    base = finite_kernel(model).base
+    assert all(base.path(s, 1, rng) == [s] for s in (0, 1, 2) for _ in range(50))
 
 
 class _TopUniform:
@@ -254,7 +264,7 @@ def test_finite_samplers_stay_in_support_when_row_sums_round_low(trailing_zero):
     rng = _TopUniform()
     n = len(p)
     for s in range(n):
-        assert p[s, finite_step(model, s, rng)] > 0.0
+        assert p[s, finite_kernel(model).base.path(s, 1, rng)[0]] > 0.0
     for kind in ("maximal-rejection", "common-random-numbers"):
         step = finite_kernel(model, kind).coupled_step
         for x in range(n):
@@ -276,7 +286,7 @@ def test_finite_empirical_frequencies_match_row(np_rng):
     assert np.all(np.abs(counts - n * p) < 3 * se + 1e-9)
     # scalar sampler agrees with the vectorized form
     rng2 = RngStream(12).generator()
-    first = [finite_step(model, row, rng2) for _ in range(100)]
+    first = [finite_kernel(model).base.path(row, 1, rng2)[0] for _ in range(100)]
     assert first == draws[:100].tolist()
 
 
@@ -289,6 +299,12 @@ def test_finite_validation_rejects_bad_matrices():
         FiniteChainModel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 1)))  # periodic
     with pytest.raises(ValueError):
         FiniteChainModel(np.array([[1.2, -0.2], [0.5, 0.5]]), np.zeros((2, 1)))
+    # every comparison with NaN is False, so each check must pass only on a True one
+    for entry in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            FiniteChainModel(np.array([[entry, 0.5], [0.5, 0.5]]), np.zeros(2))
+        with pytest.raises(ValueError, match="h_values must be finite"):
+            FiniteChainModel(np.full((2, 2), 0.5), np.array([0.0, entry]))
 
 
 def _stochastic(support) -> np.ndarray:
@@ -379,3 +395,35 @@ def test_import_does_not_load_networkx():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# the single-step functions and Gibbs pieces that the kernels' trajectory loops replaced
+_REMOVED_NAMES = (
+    "ar1_step",
+    "finite_step",
+    "gibbs_step",
+    "mrth_step",
+    "coupled_gibbs_step",
+    "coupled_mrth_step",
+    "sample_eta",
+    "gibbs_conditional",
+)
+
+
+def test_every_exported_name_resolves_and_no_removed_name_is_exported():
+    import importlib
+    import pkgutil
+
+    import fishyvar
+    from fishyvar import chains, couplings
+
+    modules = [fishyvar] + [
+        importlib.import_module(f"fishyvar.{info.name}")
+        for info in pkgutil.iter_modules(fishyvar.__path__)
+    ]
+    assert {"fishyvar.chains", "fishyvar.couplings"} <= {m.__name__ for m in modules}
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+    for module in (fishyvar, chains, couplings):
+        assert not set(_REMOVED_NAMES) & (set(module.__all__) | set(dir(module)))

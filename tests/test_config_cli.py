@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,59 @@ def test_finite_chain_h_is_its_table(tmp_path):
     _, h = build_bundle(cfg)
     table = build_model(cfg).h_values[:, 0].tolist()  # what solve_finite reads
     assert [h.eval_scalar(s) for s in range(2)] == table == [10.0, -4.0]
+
+
+@pytest.mark.parametrize(
+    "flags, yaml_text, message",
+    [
+        (["--model", "finite", "--transition-csv", "{nan_csv}"], None, r"lie in \[0, 1\]"),
+        ([], TABLED_CHAIN.replace("0.7", ".nan"), r"lie in \[0, 1\]"),
+        ([], TABLED_CHAIN.replace("-4.0", ".nan"), "h_values must be finite"),
+        ([], TABLED_CHAIN.replace("-4.0", ".inf"), "h_values must be finite"),
+    ],
+)
+@pytest.mark.parametrize("command", ["meetings", "oracle"])
+def test_nonfinite_finite_chain_entries_exit_2_naming_the_model(
+    tmp_path, capsys, command, flags, yaml_text, message
+):
+    # a NaN passes every `<` and `>` check, so such chains used to run
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("to_0,to_1,to_2\n0.2,0.5,0.3\n0.4,0.4,0.2\nnan,0.3,0.4\n")
+    argv = [command, *(flag.format(nan_csv=nan_csv) for flag in flags)]
+    if yaml_text is not None:
+        cfg_file = tmp_path / "chain.yaml"
+        cfg_file.write_text(yaml_text)
+        argv += ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    assert main([*argv, "--reps", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config section 'model'" in err and re.search(message, err)
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "model, argv, yaml_params, message",
+    [
+        ("cauchy-mrth", ["--prior-variance", "nan"], "", "prior_variance"),
+        ("cauchy-gibbs", ["--prior-variance", "inf"], "", "prior_variance"),
+        ("cauchy-mrth", ["--proposal-sd", "nan"], "", "mrth_proposal_sd"),
+        ("cauchy-mrth", ["--proposal-sd", "inf"], "", "mrth_proposal_sd"),
+        ("cauchy-gibbs", [], "  observations: [-8.0, .nan, 17.0]\n", "observations"),
+        ("cauchy-mrth", [], "  observations: [.inf]\n", "observations"),
+        ("ar1", ["--sigma", "nan"], "", "sigma"),
+        ("ar1", ["--sigma", "inf"], "", "sigma"),
+    ],
+)
+def test_nonfinite_model_parameters_exit_2_naming_the_model(
+    tmp_path, capsys, model, argv, yaml_params, message
+):
+    cfg_file = tmp_path / "model.yaml"
+    cfg_file.write_text(f"model:\n  name: {model}\n{yaml_params}")
+    out = tmp_path / "out"
+    assert main(["meetings", "--config", str(cfg_file), *argv, "--reps", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config section 'model'" in err and message in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_finite_chain_h_values_with_a_named_test_function_exit_2(tmp_path, capsys):

@@ -7,22 +7,12 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from fishyvar import couplings
-from fishyvar.chains import (
-    Ar1Model,
-    CauchyNormalModel,
-    FiniteChainModel,
-    ar1_step,
-    finite_step,
-    gibbs_step,
-    mrth_step,
-)
+from fishyvar.chains import Ar1Model, CauchyNormalModel, FiniteChainModel
 from fishyvar.couplings import (
     MaximalCouplingCapError,
     ar1_kernel,
     cauchy_gibbs_kernel,
     cauchy_mrth_kernel,
-    coupled_gibbs_step,
-    coupled_mrth_step,
     finite_kernel,
     maximal_coupling,
     reflection_maximal_1d,
@@ -30,7 +20,7 @@ from fishyvar.couplings import (
 )
 from fishyvar.rng import RngStream
 
-from conftest import random_finite_chain
+from conftest import plain_twins, random_finite_chain
 
 
 def _normal_overlap_quadrature(mu1, mu2, sigma):
@@ -154,7 +144,7 @@ def test_cauchy_gibbs_rejection_cap_is_read_when_the_step_runs(monkeypatch):
 
     rng = _Stall()
     with pytest.raises(MaximalCouplingCapError, match="50 iterations"):
-        coupled_gibbs_step(model, -8.0, 17.0, rng)
+        cauchy_gibbs_kernel(model).coupled_path(-8.0, 17.0, rng, 1)
     assert rng.uniforms == n_obs + 1 + 50
 
 
@@ -221,17 +211,32 @@ def test_reflection_nd_reduces_to_1d_with_same_stream():
 
 
 def test_ar1_kernel_steps_are_ar1_step_and_the_reflection_coupling():
-    # the kernel binds phi and sigma but runs the one formula and the one coupling
-    model = Ar1Model(0.9, 1.7)
-    kernel = ar1_kernel(model)
+    # the kernel binds phi and sigma; its coupled step is the broadcasting
+    # reference of reflection_maximal_1d, which shares no code with the loop
+    kernel = ar1_kernel(Ar1Model(0.9, 1.7))
     for seed in range(20):
         for x in (0.4, np.float64(-2.5), np.array([0.3, -1.0])):
             a, b = RngStream(seed).generator(), RngStream(seed).generator()
-            np.testing.assert_array_equal(kernel.base.step(x, a), ar1_step(model, x, b))
-            assert type(kernel.base.step(x, a)) is type(ar1_step(model, x, b))
-        a, b = RngStream(seed).generator(), RngStream(seed).generator()
-        xn, yn = kernel.coupled_step(0.4, -3.0, a)
-        assert (xn, yn) == reflection_maximal_1d(0.9 * 0.4, 0.9 * -3.0, 1.7, b)[:2]
+            step = kernel.base.step(x, a)
+            w = b.standard_normal(x.shape) if isinstance(x, np.ndarray) else b.standard_normal()
+            want = 0.9 * x + 1.7 * w
+            np.testing.assert_array_equal(step, want)
+            assert type(step) is type(want)
+        for x0, y0 in ((0.4, -3.0), (0.4, 0.5), (2.0, 2.0)):
+            a, b = plain_twins(seed)
+            xn, yn = kernel.coupled_step(x0, y0, a)
+            want = reflection_maximal_1d(np.array([0.9 * x0]), np.array([0.9 * y0]), 1.7, b)
+            assert (xn, yn) == (want[0][0], want[1][0])
+            assert a.random() == b.random()
+
+
+def test_reflection_scalar_branch_is_the_broadcasting_formula(np_rng):
+    # the float branch shares the loops' formula; the array branch is written apart
+    a, b = plain_twins(5)
+    for mu1, mu2, sigma in np_rng.normal(0.0, 3.0, size=(4000, 3)).tolist():
+        got = reflection_maximal_1d(mu1, mu2, abs(sigma), a)
+        want = reflection_maximal_1d(np.array([mu1]), np.array([mu2]), abs(sigma), b)
+        assert got == (want[0][0], want[1][0], want[2][0])
 
 
 def test_reflection_takes_the_scalar_branch_for_numpy_floats():
@@ -293,9 +298,10 @@ def test_reflection_nd_rejects_singular_factor():
 def test_coupled_mrth_merged_chains_stay_merged():
     model = CauchyNormalModel()
     rng = RngStream(10).generator()
+    step = cauchy_mrth_kernel(model).coupled_step
     x = y = 0.3
     for _ in range(1000):
-        x, y, _ = coupled_mrth_step(model.log_density, model.mrth_proposal_sd, x, y, rng)
+        x, y = step(x, y, rng)
         assert x == y
 
 
@@ -305,26 +311,28 @@ def test_coupled_mrth_marginal_matches_single_step():
     n = 10**5
     coupled = np.empty(n)
     single = np.empty(n)
+    kernel = cauchy_mrth_kernel(model)
     for i in range(n):
-        coupled[i] = coupled_mrth_step(model.log_density, model.mrth_proposal_sd, 1.0, -7.0, rng)[0]
+        coupled[i] = kernel.coupled_step(1.0, -7.0, rng)[0]
     for i in range(n):
-        single[i] = mrth_step(model.log_density, model.mrth_proposal_sd, 1.0, rng)
+        single[i] = kernel.base.step(1.0, rng)
     assert stats.ks_2samp(coupled, single).pvalue > 1e-3
 
 
 def test_coupled_mrth_meeting_locks_future():
     model = CauchyNormalModel()
     rng = RngStream(12).generator()
+    step = cauchy_mrth_kernel(model).coupled_step
     x, y = 0.0, 5.0
     met_at = None
     for t in range(5000):
-        x, y, _ = coupled_mrth_step(model.log_density, model.mrth_proposal_sd, x, y, rng)
+        x, y = step(x, y, rng)
         if x == y:
             met_at = t
             break
     assert met_at is not None
     for _ in range(1000):
-        x, y, _ = coupled_mrth_step(model.log_density, model.mrth_proposal_sd, x, y, rng)
+        x, y = step(x, y, rng)
         assert x == y
 
 
@@ -336,19 +344,21 @@ def test_coupled_mrth_meeting_locks_future():
 def test_coupled_gibbs_equal_states_stay_equal():
     model = CauchyNormalModel()
     rng = RngStream(13).generator()
+    step = cauchy_gibbs_kernel(model).coupled_step
     for theta in (-3.0, 0.0, 9.0):
-        a, b = coupled_gibbs_step(model, theta, theta, rng)
+        a, b = step(theta, theta, rng)
         assert a == b
 
 
 def test_coupled_gibbs_meets_from_distant_start():
     model = CauchyNormalModel()
     rng = RngStream(14).generator()
+    step = cauchy_gibbs_kernel(model).coupled_step
     meetings = 0
     for _ in range(1000):
         x, y = 0.0, 10.0
         for _ in range(200):
-            x, y = coupled_gibbs_step(model, x, y, rng)
+            x, y = step(x, y, rng)
             if x == y:
                 meetings += 1
                 break
@@ -361,20 +371,22 @@ def test_coupled_gibbs_marginal_matches_single_step():
     n = 10**5
     coupled = np.empty(n)
     single = np.empty(n)
+    kernel = cauchy_gibbs_kernel(model)
     for i in range(n):
-        coupled[i] = coupled_gibbs_step(model, 2.0, -6.0, rng)[0]
+        coupled[i] = kernel.coupled_step(2.0, -6.0, rng)[0]
     for i in range(n):
-        single[i] = gibbs_step(model, 2.0, rng)
+        single[i] = kernel.base.step(2.0, rng)
     assert stats.ks_2samp(coupled, single).pvalue > 1e-3
 
 
 def test_coupled_gibbs_from_equal_states_is_one_gibbs_step():
     model = CauchyNormalModel()
     rng, rng_single = RngStream(16).generator(), RngStream(16).generator()
+    kernel = cauchy_gibbs_kernel(model)
     theta = 0.0
     for _ in range(2000):
-        a, b = coupled_gibbs_step(model, theta, theta, rng)
-        assert a == b == gibbs_step(model, theta, rng_single)
+        a, b = kernel.coupled_step(theta, theta, rng)
+        assert a == b == kernel.base.step(theta, rng_single)
         theta = a
 
 
@@ -390,9 +402,9 @@ class _ZeroUniforms:
 
 def test_gibbs_steps_do_not_raise_on_zero_uniforms():
     # -2 log 0 = +inf makes eta infinite, so the conditional mean is inf / inf
-    model = CauchyNormalModel()
-    assert math.isnan(gibbs_step(model, 1.0, _ZeroUniforms()))
-    x, y = coupled_gibbs_step(model, 1.0, 3.0, _ZeroUniforms())
+    kernel = cauchy_gibbs_kernel(CauchyNormalModel())
+    assert math.isnan(kernel.base.step(1.0, _ZeroUniforms()))
+    x, y = kernel.coupled_step(1.0, 3.0, _ZeroUniforms())
     assert math.isnan(x) and math.isnan(y)
 
 
@@ -518,7 +530,8 @@ def test_finite_draw_sequence_matches_array_reference(np_rng, n_states):
         single, maximal, crn = _reference_finite_steps(model.transition_matrix)
         pairs = np_rng.integers(n_states, size=(n, 2)).tolist()
         rng, rng_ref = RngStream(seed).generator(), RngStream(seed).generator()
-        got = [finite_step(model, x, rng) for x, _ in pairs]
+        base_step = finite_kernel(model).base.step
+        got = [base_step(x, rng) for x, _ in pairs]
         want = [single(x, rng_ref) for x, _ in pairs]
         assert got == want
         for kind, reference in (("maximal-rejection", maximal), ("common-random-numbers", crn)):

@@ -30,7 +30,7 @@ from fishyvar.fishy import estimate_fishy
 from fishyvar.rng import RngStream
 from fishyvar.simulate import TransitionBudgetError, run_coupled
 
-from conftest import random_finite_chain
+from conftest import plain_twins, random_finite_chain
 
 _FINITE = random_finite_chain(np.random.default_rng(5), n_states=4)
 
@@ -125,6 +125,11 @@ def test_default_coupled_path_calls_coupled_step_until_the_meeting():
         assert _same_next_draws(a, b)
 
 
+def _reference_reflection(mu1, mu2, sigma, rng):
+    x, y, met = reflection_maximal_1d(np.array([mu1]), np.array([mu2]), sigma, rng)
+    return float(x[0]), float(y[0]), bool(met[0])
+
+
 def test_ar1_loops_are_the_formula_and_the_reference_coupling():
     kernel = KERNELS["ar1/reflection-maximal"]  # phi 0.9, sigma 1.3
     for seed in range(20):
@@ -135,13 +140,47 @@ def test_ar1_loops_are_the_formula_and_the_reference_coupling():
             x = 0.9 * x + 1.3 * b.standard_normal()
             want.append(x)
         assert got == want
+        a, b = plain_twins(seed)
         xs, ys = kernel.coupled_path(4.0, -3.0, a, 10**6)
         x, y, pairs = 4.0, -3.0, []
         while not pairs or x != y:
-            x, y, _ = reflection_maximal_1d(0.9 * x, 0.9 * y, 1.3, b)
+            x, y, _ = _reference_reflection(0.9 * x, 0.9 * y, 1.3, b)
             pairs.append((x, y))
         assert list(zip(xs, ys)) == pairs
         assert _same_next_draws(a, b)
+
+
+def test_mrth_coupled_loop_is_the_reference_coupling_with_one_shared_uniform():
+    model = CauchyNormalModel()
+    kernel = KERNELS["cauchy-mrth/reflection-maximal"]
+    sd, log_density = model.mrth_proposal_sd, model.log_density
+    for seed in range(20):
+        for x0, y0 in ((-8.0, 17.0), (5.0, 6.0)):
+            a, b = plain_twins(seed)
+            xs, ys = kernel.coupled_path(x0, y0, a, 10**6)
+            x, y, pairs = x0, y0, []
+            while not pairs or x != y:
+                xstar, ystar, _ = _reference_reflection(x, y, sd, b)
+                u = b.random()
+                log_u = math.log(u) if u > 0.0 else -math.inf
+                x = xstar if log_u <= log_density(xstar) - log_density(x) else x
+                y = ystar if log_u <= log_density(ystar) - log_density(y) else y
+                pairs.append((x, y))
+            assert list(zip(xs, ys)) == pairs
+            assert _same_next_draws(a, b)
+
+
+@pytest.mark.parametrize("name", [name for name in KERNELS if not name.startswith("finite")])
+def test_int_starts_couple_as_their_float_values(name):
+    # a YAML grid such as [-3, 0, 3] hands the coupled loops int states
+    kernel = KERNELS[name]
+    for seed in range(20):
+        for x0, y0 in ((-3, 4), (2, 2), (0, 17)):
+            a, b = _twins(seed)
+            assert kernel.coupled_path(x0, y0, a, 50) == kernel.coupled_path(
+                float(x0), float(y0), b, 50
+            )
+            assert _same_next_draws(a, b)
 
 
 @pytest.mark.parametrize("kind", ["reflection-maximal", "common-random-numbers"])

@@ -226,9 +226,11 @@ class Ar1Model:
 def _ar1_path(phi: float, sigma: float, x: State, n: int, rng: np.random.Generator) -> list:
     """X_1..X_n of ``x' = phi * x + sigma * W``, the AR(1) loop; the kernel binds phi and sigma.
 
-    A float state takes one scalar normal W.  Any other state (an array, or
-    an int start) takes W of its shape from numpy, until the state is a float.
+    A float state takes one scalar normal W, and an int start is its float.
+    An array state takes W of its shape from numpy.
     """
+    if isinstance(x, (int, np.integer)):
+        x = float(x)
     out = []
     while len(out) < n and not isinstance(x, float):
         x = phi * x + sigma * rng.standard_normal(np.shape(x))
@@ -315,15 +317,18 @@ def _mrth_path(
 
     A proposal x* is accepted with probability min(1, exp(logdensity(x*) -
     logdensity(x))), ties accepted; a NaN log-density at x* rejects it with a
-    warning.  ``proposal_sd`` is taken as positive.
+    warning.  ``proposal_sd`` is taken as positive.  Each proposal costs one
+    ``logdensity`` call; the current state's value is kept from its own.
     """
     draws = scalar_draws(rng)
     normal, uniform = draws.next_normal, draws.next_uniform
     out = []
+    lx = logdensity(x)  # the log-density of the current state, kept while it stays
     for _ in range(n):
         proposal = x + proposal_sd * normal()
-        if _accepts(uniform(), logdensity(proposal) - logdensity(x)):
-            x = proposal
+        lp = logdensity(proposal)
+        if _accepts(uniform(), lp - lx):
+            x, lx = proposal, lp
         out.append(x)
     return out
 

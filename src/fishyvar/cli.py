@@ -318,8 +318,9 @@ _RUNNERS = {  # command -> (runner, file its summary is written to, if any)
 
 def _replicate_summary(estimates, cfg: ExperimentConfig) -> dict:
     values = np.array([float(np.ravel(e.value)[0]) for e in estimates])
-    ineff = inefficiency(estimates, rng=RngStream(cfg.seed, 2**19).generator())
-    lo, hi = bootstrap_ci(values, rng=RngStream(cfg.seed, 2**19 + 1).generator())
+    stream = RngStream(cfg.seed)
+    ineff = inefficiency(estimates, rng=stream.child(MAX_REPS + 1))
+    lo, hi = bootstrap_ci(values, rng=stream.child(MAX_REPS + 2))
     return {
         "estimate": float(values.mean()),
         "ci_estimate": [lo, hi],

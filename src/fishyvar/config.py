@@ -60,8 +60,10 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
 }
 
 
-# Replicate r of a CLI run draws from stream child(r); child(MAX_REPS) is
-# reserved for the EPAVE burn-in pilot and the optimal-xi fishy profile.
+# Replicate r of a CLI run draws from stream child(r), and lane batch b from
+# child(b); child(MAX_REPS) is reserved for the EPAVE burn-in pilot and the
+# optimal-xi fishy profile, and child(MAX_REPS + 1) and child(MAX_REPS + 2) for
+# the summary's bootstraps (inefficiency, then the interval of the estimate).
 MAX_REPS = 2**18
 
 # commands whose summary takes a sample variance over the replicates

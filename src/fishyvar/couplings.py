@@ -175,18 +175,21 @@ def _coupled_mrth_path(logdensity, proposal_sd, x, y, rng, max_steps):
 
     The two proposals are reflection-maximal (:func:`_reflect`) and both
     chains share one acceptance uniform, so equal states make identical
-    proposals and identical accept decisions and stay merged.
+    proposals and identical accept decisions and stay merged.  Each chain
+    keeps its current state's log-density, one call per proposal.
     """
     draws = scalar_draws(rng)
     normal, uniform = draws.next_normal, draws.next_uniform
     xs, ys = [], []
+    lx, ly = logdensity(x), logdensity(y)
     for _ in range(max_steps):
         xstar, ystar, _ = _reflect(x, y, proposal_sd, normal(), uniform())
         u = uniform()
-        if _accepts(u, logdensity(xstar) - logdensity(x)):
-            x = xstar
-        if _accepts(u, logdensity(ystar) - logdensity(y)):
-            y = ystar
+        lxstar, lystar = logdensity(xstar), logdensity(ystar)
+        if _accepts(u, lxstar - lx):
+            x, lx = xstar, lxstar
+        if _accepts(u, lystar - ly):
+            y, ly = ystar, lystar
         xs.append(x)
         ys.append(y)
         if x == y:

@@ -6,6 +6,11 @@ empirical mean of max(0, ceil((tau - L - t)/L)).  The survival function of
 tau - L on log-log axes diagnoses polynomial tails; an ordinary least-squares
 fit of log survival against log t estimates the polynomial rate.  Percentile
 bootstrap intervals back every reported table.
+
+Bootstrap resample indices for up to n = 2^16 replicates are numpy's 16-bit
+bounded draws (Lemire's multiply-shift with rejection, so exactly uniform),
+two per 32-bit Philox word, computed here on 64 KiB blocks of raw words;
+past 2^16 they are numpy's int64 draws, one word each.
 """
 
 from __future__ import annotations
@@ -27,9 +32,13 @@ __all__ = [
     "percentile_interval",
 ]
 
-# Resample indices drawn per block: 256 KiB of int64 whatever the replicate
-# count, so memory stays bounded and a block's temporaries stay small.
+# Resample indices drawn per block, whatever the replicate count: 64 KiB of
+# uint16 halves of raw words, handed on as intp for the gathers, so memory
+# stays bounded and a block's temporaries stay small.
 _BLOCK_INDICES = 2**15
+
+# Replicate counts up to this draw 16-bit indices, two per 32-bit word.
+_HALF_WORD = 2**16
 
 
 def tv_upper_bound(taus: Sequence[int], lag: int, t: int) -> float:
@@ -164,14 +173,51 @@ def bootstrap_resample(
 
     ``idx`` is a (b, n) block of resample indices and gives b rows.  The block
     size does not change the indices: a (b1 + b2, n) block draws the same
-    integers as a b1 block followed by a b2 block.
+    integers as a b1 block followed by a b2 block.  Up to n = 2^16 they are
+    those of one ``rng.integers(0, n, size=n_resamples * n, dtype=np.uint16)``
+    call on a generator that has not yet drawn a 32-bit half of a word.
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be at least 1")
     rng = as_generator(rng)
     block = max(1, _BLOCK_INDICES // n)
+    draw = _HalfWordIndices(rng, n) if n <= _HALF_WORD else None
     rows = []
     for done in range(0, n_resamples, block):
+        shape = (min(block, n_resamples - done), n)
         # no name holds a block's indices, so they are freed before the next block is drawn
-        rows.append(statistic(rng.integers(0, n, size=(min(block, n_resamples - done), n))))
+        rows.append(statistic(rng.integers(0, n, size=shape) if draw is None else draw(shape)))
     return np.concatenate(rows)
+
+
+class _HalfWordIndices:
+    """Uniform integers in [0, n) for n <= 2^16, two per 32-bit word of ``rng``'s bit generator.
+
+    numpy's 16-bit bounded draw on the halves of the raw 64-bit words, low
+    half first: a half h gives the index (h n) >> 16 unless (h n) mod 2^16
+    falls below 2^16 mod n, in which case it is rejected.  Accepted indices
+    not yet served are kept for the next call, so the k-th index does not
+    depend on how the draws are split into calls.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self._raw = rng.bit_generator.random_raw
+        self._n = np.uint32(n)
+        self._threshold = _HALF_WORD % n
+        self._kept = np.empty(0, dtype=np.intp)
+
+    def __call__(self, shape: tuple[int, int]) -> np.ndarray:
+        count = shape[0] * shape[1]
+        parts, have = [self._kept], self._kept.size
+        while have < count:
+            # enough words, on average, for the indices still wanted and their rejections
+            words = (count - have) * _HALF_WORD // (4 * (_HALF_WORD - self._threshold)) + 8
+            product = np.multiply(self._raw(words).view(np.uint16), self._n, dtype=np.uint32)
+            indices = product.view(np.uint16)[1::2]  # the high halves, (h n) >> 16
+            if self._threshold:
+                indices = indices[(product & 0xFFFF) >= self._threshold]
+            parts.append(indices)
+            have += indices.size
+        drawn = np.concatenate(parts, dtype=np.intp)
+        self._kept = drawn[count:].copy()  # a copy, so the block is freed with its last user
+        return drawn[:count].reshape(shape)

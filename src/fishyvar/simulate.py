@@ -301,9 +301,69 @@ def lane_batches(
 def lane_starts(
     init_sampler: Callable[[np.random.Generator], State], rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """X_0 and Y_0 of ``n`` lanes, ``init_sampler`` called for X_0 then Y_0 lane by lane."""
-    starts = [init_sampler(rng) for _ in range(2 * n)]
+    """X_0 and Y_0 of ``n`` lanes, ``init_sampler`` called for X_0 then Y_0 lane by lane.
+
+    A sampler that draws one scalar ``rng.integers`` per start, with the same
+    bounds each time, is served from one sized draw of all 2n (numpy's scalar
+    and sized bounded draws read the same words and leave the same state).
+    Any other use of the generator, or an error, restores its state and
+    calls the sampler on ``rng`` itself, so the starts, and the state the
+    generator is left in, are those of the lane-by-lane calls.
+    """
+    state = rng.bit_generator.state
+    served = _ScalarIntegers(rng, 2 * n)
+    try:
+        starts = [init_sampler(served) for _ in range(2 * n)]
+    except (_Unserved, Exception):  # say, a sampler that checks its generator's type
+        starts = None
+    if starts is None or not served.exact():
+        rng.bit_generator.state = state
+        starts = [init_sampler(rng) for _ in range(2 * n)]
     return np.array(starts[::2]), np.array(starts[1::2])
+
+
+class _Unserved(BaseException):
+    """A draw :class:`_ScalarIntegers` does not serve; no ``except Exception`` catches it."""
+
+
+class _ScalarIntegers:
+    """Serves ``count`` scalar ``integers(low, high)`` calls of equal bounds from one sized draw.
+
+    Any other call, or attribute, raises :class:`_Unserved`, and so does a
+    call past ``count`` or with other bounds than the first.
+    """
+
+    def __init__(self, rng: np.random.Generator, count: int):
+        self._rng, self._count = rng, count
+        self._bounds = self._values = None
+        self._served = 0
+        self._failed = False
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        bounds = (low, high, endpoint)
+        if size is None and dtype is np.int64 and _scalar_ints(low, high):
+            if self._values is None:
+                self._bounds = bounds
+                self._values = iter(self._rng.integers(low, high, self._count, dtype, endpoint))
+            if bounds == self._bounds:
+                value = next(self._values, None)
+                if value is not None:
+                    self._served += 1
+                    return value
+        self._failed = True
+        raise _Unserved
+
+    def __getattr__(self, name):
+        self._failed = True
+        raise _Unserved
+
+    def exact(self) -> bool:
+        """Whether every call was served and the sized draw was used up."""
+        return not self._failed and self._served == self._count
+
+
+def _scalar_ints(*bounds) -> bool:
+    return all(b is None or isinstance(b, (int, np.integer)) for b in bounds)
 
 
 def lockstep(

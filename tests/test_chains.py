@@ -183,6 +183,24 @@ def test_mrth_nan_logdensity_rejects_with_warning():
         assert _mrth_path(logdensity, 1.0, 0.5, 1, rng) == [0.5]
 
 
+def test_mrth_loops_evaluate_the_log_density_once_per_proposal_and_chain(monkeypatch):
+    calls = []
+    log_density = CauchyNormalModel.log_density
+
+    def counted(model, theta):
+        calls.append(theta)
+        return log_density(model, theta)
+
+    monkeypatch.setattr(CauchyNormalModel, "log_density", counted)
+    kernel = cauchy_mrth_kernel(CauchyNormalModel())
+    rng = RngStream(10).generator()
+    path = kernel.base.path(0.5, 40, rng)
+    assert len(calls) == 1 + 40 and 1 < len(set(path)) < 40  # some accepted, some rejected
+    calls.clear()
+    xs, ys = kernel.coupled_path(-8.0, 17.0, rng, 30)
+    assert len(calls) == 2 + 2 * len(xs)
+
+
 def test_mrth_acceptance_rate_moderate_on_posterior():
     model = CauchyNormalModel()
     rng = RngStream(9).generator()

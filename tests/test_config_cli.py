@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fishyvar import cli
 from fishyvar.chains import FiniteChainModel
 from fishyvar.cli import main, run_experiment
 from fishyvar.config import (
@@ -18,7 +19,8 @@ from fishyvar.config import (
     finite_chain_from_csv,
     load_config,
 )
-from fishyvar.rng import RngStream
+from fishyvar.rng import RngStream, as_generator
+from fishyvar.simulate import LANES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TABLED_CHAIN = """
@@ -524,6 +526,33 @@ def test_reps_beyond_reserved_pilot_stream_exits_2(tmp_path):
     with pytest.raises(ConfigError, match="reps"):
         load_config(None, {"reps": MAX_REPS + 1})
     assert main(["suave", "--reps", str(MAX_REPS + 1), "--out", str(tmp_path)]) == 2
+
+
+def test_summary_bootstraps_draw_from_reserved_streams(tmp_path, monkeypatch):
+    keys = []
+
+    def recording(fn):
+        def call(*args, rng):
+            keys.append(tuple(as_generator(rng).bit_generator.state["state"]["key"]))
+            return fn(*args, rng=rng)
+
+        return call
+
+    monkeypatch.setattr(cli, "inefficiency", recording(cli.inefficiency))
+    monkeypatch.setattr(cli, "bootstrap_ci", recording(cli.bootstrap_ci))
+    args = ["umcmc", "--model", "ar1", "--phi", "0.5", "--k", "2", "--L", "1", "--ell", "5"]
+    assert main(args + ["--reps", "3", "--seed", "5", "--out", str(tmp_path)]) == 0
+    stream = RngStream(5)
+    reserved = [stream.child(MAX_REPS + 1), stream.child(MAX_REPS + 2)]
+    assert keys == [(s.stream_id, s.master_seed) for s in reserved]
+    # replicate r draws from child r and lane batch b from child b, for any
+    # reps up to MAX_REPS; the pilots draw from child(MAX_REPS) and its children
+    pilot = stream.child(MAX_REPS)
+    used = {s.stream_id for s in stream.children(MAX_REPS)}
+    used |= {s.stream_id for s in stream.children(-(-MAX_REPS // LANES))}
+    used |= {pilot.stream_id} | {s.stream_id for s in pilot.children(MAX_REPS)}
+    assert len({s.stream_id for s in reserved}) == 2
+    assert not used & {s.stream_id for s in reserved}
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

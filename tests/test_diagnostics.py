@@ -204,6 +204,52 @@ def test_bootstraps_give_the_bits_of_fresh_array_gathers(monkeypatch, n, n_resam
     assert kept == both()  # every field, exactly
 
 
+def _resample_blocks(monkeypatch, block_indices, n, n_resamples, rng):
+    monkeypatch.setattr(diagnostics, "_BLOCK_INDICES", block_indices)
+    blocks = []
+
+    def statistic(idx):
+        blocks.append(idx.copy())
+        return np.zeros(len(idx))
+
+    assert diagnostics.bootstrap_resample(n, n_resamples, rng, statistic).shape == (n_resamples,)
+    return blocks
+
+
+# n = 7 leaves a partial last block; 2^16 is the last count with 16-bit
+# draws (no rejection) and 2^16 + 1 the first with int64 draws
+@pytest.mark.parametrize("n, n_resamples", [(7, 10**4), (2**16, 3), (2**16 + 1, 3)])
+def test_resample_indices_do_not_depend_on_the_block_size(monkeypatch, n, n_resamples):
+    split = _resample_blocks(monkeypatch, 1001, n, n_resamples, RngStream(53))
+    assert len(split) > 1 and all(b.shape[1] == n for b in split)
+    whole = _resample_blocks(monkeypatch, n * n_resamples, n, n_resamples, RngStream(53))
+    assert len(whole) == 1
+    drawn = np.concatenate(split)
+    assert drawn.min() >= 0 and drawn.max() < n
+    np.testing.assert_array_equal(drawn, whole[0])
+    # one numpy draw of them all: 16-bit bounded draws up to 2^16, int64 past it
+    rng = RngStream(53).generator()
+    dtype = np.uint16 if n <= 2**16 else np.int64
+    np.testing.assert_array_equal(drawn.ravel(), rng.integers(0, n, n * n_resamples, dtype))
+
+
+@pytest.mark.parametrize("n", [7, 200])
+def test_bootstrap_summaries_do_not_depend_on_the_block_size(monkeypatch, n):
+    gen = RngStream(54, n).generator()
+    values = 1e3 + gen.standard_normal(n)
+    costs = gen.integers(3, 90, size=n)
+    estimates = [AvarEstimate(float(v), int(c), 0, int(c), 1, 0.0) for v, c in zip(values, costs)]
+
+    def both(block_indices):
+        monkeypatch.setattr(diagnostics, "_BLOCK_INDICES", block_indices)
+        return (
+            inefficiency(estimates, rng=RngStream(55)),
+            bootstrap_ci(values, rng=RngStream(56)),
+        )
+
+    assert both(_BLOCK_INDICES) == both(999)  # every field, exactly
+
+
 def test_resample_gather_reuses_one_buffer_and_grows_for_larger_blocks():
     values = np.arange(10.0) ** 2
     gather = _ResampleGather()

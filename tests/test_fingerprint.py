@@ -115,7 +115,7 @@ DIGESTS = {
     "finite_suave": "6c9ca4df2bd47dc093059b893dddadfd8acbb91f8e7067a29c60857572368fd7",
     "cauchy_meetings": "e88b45c99e956f75d640d91fb16c716af5af03a9a2b100a1070b755093b31816",
     "cauchy_mrth": "5ce2e5cf1400f5a85538ec648fb8a25627ce5a4a6d9312578b93f8c3dfc7cf80",
-    "bootstrap_summaries": "a50fa02ca247d350013a08637167926d1104edc451339e560e0670d354e7c67c",
+    "bootstrap_summaries": "5edc41f87c6e7b3fb68e3288fe0d652d3f8e28ff75bfa3c40ddf703d18207a6b",
 }
 BLAS_PROBE = "a2d2b4189127cd0995506046abe747b742817ed988370c84ab6c41abe54ccb40"
 

@@ -10,6 +10,7 @@ code with the lane drivers' draws.
 from __future__ import annotations
 
 import functools
+import itertools
 from bisect import bisect_right
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from fishyvar import couplings, simulate
 from fishyvar.chains import CoupledKernel, MarkovKernel
+from fishyvar.config import MODELS
 from fishyvar.couplings import MaximalCouplingCapError, finite_kernel
 from fishyvar.fishy import estimate_fishy, fishy_profile
 from fishyvar.rng import LaneDraws, RngStream
@@ -256,6 +258,96 @@ def test_blocks_of_distinct_steps_ordinals_and_batches_share_no_counter():
     assert blocks[1].tolist() == [words(3, 1, lane=200), words(3, 1, lane=0)]
     # a second call of the same step reads the same blocks at its own lanes
     assert draws.take(np.array([7])).random(1).tolist() == [words(3, 0, lane=7)]
+
+
+def _guarded(rng):
+    try:
+        return float(rng.standard_normal())
+    except Exception:
+        return -1.0
+
+
+def _swallowing(rng):
+    try:
+        jitter = float(rng.standard_normal())
+    except BaseException:
+        jitter = 0.0
+    return int(rng.integers(4)) + jitter
+
+
+class _Alternating:
+    """Draws from ``rng.integers(bound)``, the bounds taken in turn; 2n calls start where they began."""
+
+    def __init__(self, *bounds):
+        self.bounds = itertools.cycle(bounds)
+
+    def __call__(self, rng):
+        bound = next(self.bounds)
+        return int(rng.integers(bound)) if bound else -1
+
+
+def _checks_type(rng):
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("a numpy Generator is required")
+    return int(rng.integers(4))
+
+
+STARTS = {
+    "integers(n)": lambda rng: int(rng.integers(4)),
+    "integers(0, n)": lambda rng: int(rng.integers(0, 7)),
+    "integers(0, n), n = 2^31 + 5": lambda rng: int(rng.integers(0, 2**31 + 5)),
+    "integers(n), n = 2^40 + 3": lambda rng: int(rng.integers(2**40 + 3)),
+    "numpy scalar": lambda rng: rng.integers(200),
+    "random()": lambda rng: rng.random(),
+    "mixed bounds": _Alternating(4, 5),
+    "X drawn, Y fixed": _Alternating(4, None),
+    "bound from a draw": lambda rng: int(rng.integers(2 + int(rng.integers(3)))),
+    "two draws per start": lambda rng: int(rng.integers(4)) * 4 + int(rng.integers(4)),
+    "sized draw": lambda rng: int(rng.integers(4, size=1)[0]),
+    "try/except Exception": _guarded,
+    "try/except BaseException": _swallowing,
+    "type check": _checks_type,
+}
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_lane_starts_are_the_sequential_starts(name):
+    init, batch, n = STARTS[name], RngStream(30).child(2), 40
+    rng = batch.generator()
+    x0, y0 = simulate.lane_starts(init, rng, n)
+    for lane in range(n):
+        assert (x0[lane], y0[lane]) == lane_starts(init, batch, lane)
+    sequential = batch.generator()
+    for _ in range(2 * n):
+        init(sequential)
+    # the generator is left where the lane-by-lane calls leave it
+    assert _philox_state(rng) == _philox_state(sequential)
+    assert rng.random() == sequential.random()
+
+
+def _philox_state(rng) -> tuple:
+    state = rng.bit_generator.state
+    words = (state["state"]["counter"], state["state"]["key"], state["buffer"])
+    return (*map(tuple, words), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+class CountingGenerator(np.random.Generator):
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def test_the_finite_initial_law_draws_all_lane_starts_at_once():
+    model, _ = _chain(31)
+    init = MODELS["finite"].init(model)
+    rng = CountingGenerator(np.random.Philox(5))
+    x0, y0 = simulate.lane_starts(init, rng, LANES)
+    assert rng.calls == 1
+    sequential = np.random.Generator(np.random.Philox(5))
+    starts = [init(sequential) for _ in range(2 * LANES)]
+    assert x0.tolist() == starts[::2] and y0.tolist() == starts[1::2]
 
 
 def test_step_counters_lie_above_every_initial_state_draw():

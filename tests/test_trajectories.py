@@ -172,11 +172,12 @@ def test_mrth_coupled_loop_is_the_reference_coupling_with_one_shared_uniform():
 
 @pytest.mark.parametrize("name", [name for name in KERNELS if not name.startswith("finite")])
 def test_int_starts_couple_as_their_float_values(name):
-    # a YAML grid such as [-3, 0, 3] hands the coupled loops int states
+    # a YAML grid such as [-3, 0, 3] hands the loops int states
     kernel = KERNELS[name]
     for seed in range(20):
         for x0, y0 in ((-3, 4), (2, 2), (0, 17)):
             a, b = _twins(seed)
+            assert kernel.base.path(x0, 50, a) == kernel.base.path(float(x0), 50, b)
             assert kernel.coupled_path(x0, y0, a, 50) == kernel.coupled_path(
                 float(x0), float(y0), b, 50
             )

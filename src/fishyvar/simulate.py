@@ -335,21 +335,30 @@ class _ScalarIntegers:
 
     def __init__(self, rng: np.random.Generator, count: int):
         self._rng, self._count = rng, count
-        self._bounds = self._values = None
-        self._served = 0
+        self._low = self._high = _NO_BOUND  # until the first call draws
+        self._values = None
         self._failed = False
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        bounds = (low, high, endpoint)
-        if size is None and dtype is np.int64 and _scalar_ints(low, high):
+        # the bound objects of the call before, the usual case, pass on identity alone
+        if low is not self._low or high is not self._high or size is not None or endpoint:
+            self._check(low, high, size, endpoint)
+        if dtype is np.int64:
+            value = next(self._values, None)
+            if value is not None:
+                return value
+        self._failed = True
+        raise _Unserved
+
+    def _check(self, low, high, size, endpoint) -> None:
+        """Draw on the first call, and let later calls with equal int bounds through."""
+        if size is None and not endpoint and _is_int(low) and (high is None or _is_int(high)):
             if self._values is None:
-                self._bounds = bounds
-                self._values = iter(self._rng.integers(low, high, self._count, dtype, endpoint))
-            if bounds == self._bounds:
-                value = next(self._values, None)
-                if value is not None:
-                    self._served += 1
-                    return value
+                self._values = iter(self._rng.integers(low, high, self._count))
+                self._low, self._high = low, high
+                return
+            if (low, high) == (self._low, self._high):
+                return
         self._failed = True
         raise _Unserved
 
@@ -358,12 +367,15 @@ class _ScalarIntegers:
         raise _Unserved
 
     def exact(self) -> bool:
-        """Whether every call was served and the sized draw was used up."""
-        return not self._failed and self._served == self._count
+        """Whether no call was refused and the sized draw, if any, was used up."""
+        return not self._failed and (self._values is None or next(self._values, None) is None)
 
 
-def _scalar_ints(*bounds) -> bool:
-    return all(b is None or isinstance(b, (int, np.integer)) for b in bounds)
+_NO_BOUND = object()
+
+
+def _is_int(bound) -> bool:
+    return isinstance(bound, (int, np.integer))
 
 
 def lockstep(

@@ -195,29 +195,33 @@ class _HalfWordIndices:
 
     numpy's 16-bit bounded draw on the halves of the raw 64-bit words, low
     half first: a half h gives the index (h n) >> 16 unless (h n) mod 2^16
-    falls below 2^16 mod n, in which case it is rejected.  Accepted indices
+    falls below 2^16 mod n, in which case it is rejected.  Accepted halves
     not yet served are kept for the next call, so the k-th index does not
     depend on how the draws are split into calls.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
         self._raw = rng.bit_generator.random_raw
-        self._n = np.uint32(n)
+        self._n = n
         self._threshold = _HALF_WORD % n
-        self._kept = np.empty(0, dtype=np.intp)
+        self._kept = np.empty(0, dtype=np.uint16)
 
     def __call__(self, shape: tuple[int, int]) -> np.ndarray:
-        count = shape[0] * shape[1]
-        parts, have = [self._kept], self._kept.size
-        while have < count:
+        # the accepted halves go straight into the block and become indices
+        # there, so a draw's only temporaries are its words and their test
+        drawn = np.empty(shape[0] * shape[1], dtype=np.intp)
+        have = min(self._kept.size, drawn.size)
+        drawn[:have], self._kept = self._kept[:have], self._kept[have:]
+        while have < drawn.size:
             # enough words, on average, for the indices still wanted and their rejections
-            words = (count - have) * _HALF_WORD // (4 * (_HALF_WORD - self._threshold)) + 8
-            product = np.multiply(self._raw(words).view(np.uint16), self._n, dtype=np.uint32)
-            indices = product.view(np.uint16)[1::2]  # the high halves, (h n) >> 16
-            if self._threshold:
-                indices = indices[(product & 0xFFFF) >= self._threshold]
-            parts.append(indices)
-            have += indices.size
-        drawn = np.concatenate(parts, dtype=np.intp)
-        self._kept = drawn[count:].copy()  # a copy, so the block is freed with its last user
-        return drawn[:count].reshape(shape)
+            words = (drawn.size - have) * _HALF_WORD // (4 * (_HALF_WORD - self._threshold)) + 8
+            halves = self._raw(words).view(np.uint16)
+            if self._threshold:  # (h n) mod 2^16 is the uint16 product, which wraps
+                halves = halves[np.multiply(halves, self._n, dtype=np.uint16) >= self._threshold]
+            take = min(halves.size, drawn.size - have)
+            drawn[have : have + take] = halves[:take]
+            self._kept = halves[take:].copy()  # a copy, so the words are freed with this draw
+            have += take
+        drawn *= self._n
+        drawn >>= 16
+        return drawn.reshape(shape)

@@ -308,7 +308,9 @@ def lane_starts(
     and sized bounded draws read the same words and leave the same state).
     Any other use of the generator, or an error, restores its state and
     calls the sampler on ``rng`` itself, so the starts, and the state the
-    generator is left in, are those of the lane-by-lane calls.
+    generator is left in, are those of the lane-by-lane calls.  The sampler
+    may then be called more than 2n times in all, so its draws should come
+    from the generator it is given alone.
     """
     state = rng.bit_generator.state
     served = _ScalarIntegers(rng, 2 * n)

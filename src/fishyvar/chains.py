@@ -121,9 +121,9 @@ class CoupledKernel:
         """Whether replicate drivers may run this kernel's steps on lanes.
 
         True when ``coupled_step`` carries the attribute ``lanes = True``: the
-        kernel's states are int indices, and ``base.step`` and ``coupled_step``
-        also take int arrays of states, one per lane, drawing their uniforms
-        by ``rng.random`` with the number of lanes as the last dimension.
+        kernel's states are int indices, and ``base.step`` and ``coupled_step``,
+        not the paths, also take int arrays of states, one per lane, drawing
+        their uniforms by ``rng.random`` with the number of lanes last.
         ``functools.wraps`` copies the attribute, so a wrapped step keeps it.
         """
         return getattr(self.coupled_step, "lanes", False)
@@ -426,18 +426,8 @@ def _power_is_positive(a: np.ndarray, k: int) -> bool:
     return bool(out.all())
 
 
-def _finite_path(cum: Sequence[list[float]], rows: np.ndarray, s, n: int, rng) -> list:
-    """n transitions from state ``s``, each a bisection of one uniform in the cumulative row.
-
-    An int array ``s`` holds one state per lane; each step then draws
-    ``rng.random(len(s))`` and reads the array ``rows`` of the same rows.
-    """
-    if isinstance(s, np.ndarray):
-        out = []
-        for _ in range(n):
-            s = _next_states(rows, s, rng.random(len(s)))
-            out.append(s)
-        return out
+def _finite_path(cum: Sequence[list[float]], s: int, n: int, rng) -> list:
+    """n transitions from state ``s``, each a bisection of one uniform in the cumulative row."""
     uniform = scalar_draws(rng).next_uniform
     out = []
     for _ in range(n):
@@ -445,11 +435,3 @@ def _finite_path(cum: Sequence[list[float]], rows: np.ndarray, s, n: int, rng) -
         out.append(s)
     return out
 
-
-def _next_states(rows: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per lane, ``bisect_right(rows[s], u)``: the first index whose cumulative sum exceeds u.
-
-    ``u`` holds one uniform per lane in its last axis.  Each row ends at 1.0
-    and u < 1, so that index exists.
-    """
-    return (rows.take(s, axis=0) > u[..., None]).argmax(axis=-1)

@@ -32,7 +32,6 @@ from .chains import (
     _finite_path,
     _gibbs_path,
     _mrth_path,
-    _next_states,
     _state_equality,
     states_equal,
 )
@@ -323,8 +322,14 @@ def _ar1_reflection_path(phi, sigma, x, y, rng, max_steps):
 
 
 def _ar1_crn_path(phi, sigma, x, y, rng, max_steps):
-    """AR(1) pairs driven by one shared scalar normal per step."""
-    normal = scalar_draws(rng).next_normal
+    """AR(1) pairs driven by one shared normal per step, of the states' broadcast shape for arrays.
+
+    Float and int states share one scalar normal, as :func:`~fishyvar.chains._ar1_path` draws.
+    """
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        normal = partial(rng.standard_normal, np.broadcast_shapes(np.shape(x), np.shape(y)))
+    else:
+        normal = scalar_draws(rng).next_normal
     met = _state_equality(x, y)
     xs, ys = [], []
     for _ in range(max_steps):
@@ -359,35 +364,45 @@ def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> Cou
 def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKernel:
     """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN.
 
-    Its steps also run on lanes (int arrays of states; see
-    :attr:`~fishyvar.chains.CoupledKernel.lanes`).
+    Its ``step`` and ``coupled_step`` take a lane rule on int arrays of states
+    (:attr:`~fishyvar.chains.CoupledKernel.lanes`), else one scalar-loop step.
     """
     kind = _coupling_kind("finite", kind, ("maximal-rejection", "common-random-numbers"))
     cum = model._cumulative_rows
     rows = np.array(cum)
-    path = partial(_finite_path, cum, rows)
-    base = MarkovKernel(1, _one_step(path), "finite", path)
+    path = partial(_finite_path, cum)
+
+    def step(s, rng):
+        if isinstance(s, np.ndarray):
+            return _next_states(rows, s, rng.random(len(s)))
+        return path(s, 1, rng)[0]
+
     if kind == "maximal-rejection":
         # Python-float rows: bisect and scalar products beat numpy calls on short rows
         p = model.transition_matrix
-        kernel = _coupled(base, partial(_finite_maximal_path, p.tolist(), cum, p, rows))
+        pairs = partial(_finite_maximal_path, p.tolist(), cum)
+        lanes = partial(_finite_maximal_lanes, p, rows)
     else:
-        kernel = _coupled(base, partial(_finite_crn_path, cum, rows))
-    kernel.coupled_step.lanes = True
-    return kernel
+        pairs = partial(_finite_crn_path, cum)
+        lanes = partial(_finite_crn_lanes, rows)
+
+    def coupled_step(x, y, rng):
+        if isinstance(x, np.ndarray):
+            return lanes(x, y, rng)
+        xs, ys = pairs(x, y, rng, 1)
+        return xs[0], ys[0]
+
+    coupled_step.lanes = True
+    return CoupledKernel(MarkovKernel(1, step, "finite", path), coupled_step, pairs)
 
 
-def _finite_maximal_path(p, cum, p_rows, rows, x, y, rng, max_steps):
+def _finite_maximal_path(p, cum, x, y, rng, max_steps):
     """Finite-chain pairs joined by the rejection maximal coupling of rows ``p[x]`` and ``p[y]``.
 
     The same draw sequence and accept rule as :func:`maximal_coupling`,
     specialized to pmf rows (the ratio test w <= q/p becomes w * p <= q,
-    exact for probabilities); equal states take one shared step.  Int arrays
-    ``x``, ``y`` run the same rule per lane on the arrays ``p_rows`` and
-    ``rows`` of the same rows (:func:`_finite_maximal_lanes`).
+    exact for probabilities); equal states take one shared step.
     """
-    if isinstance(x, np.ndarray):
-        return _lane_pairs(partial(_finite_maximal_lanes, p_rows, rows), x, y, rng, max_steps)
     uniform = scalar_draws(rng).next_uniform
     xs, ys = [], []
     for _ in range(max_steps):
@@ -462,25 +477,8 @@ def _finite_maximal_lanes(p_rows, rows, x, y, rng):
     return x_next, y_next
 
 
-def _lane_pairs(step, x, y, rng, max_steps):
-    """Up to ``max_steps`` lane steps ``step(x, y, rng)``, stopping once every lane has met."""
-    xs, ys = [], []
-    for left in range(max_steps - 1, -1, -1):
-        x, y = step(x, y, rng)
-        xs.append(x)
-        ys.append(y)
-        if left and np.array_equal(x, y):
-            break
-    return xs, ys
-
-
-def _finite_crn_path(cum, rows, x, y, rng, max_steps):
-    """Finite-chain pairs that bisect one shared uniform in their two rows.
-
-    Int arrays ``x``, ``y`` share one block per step, lane by lane.
-    """
-    if isinstance(x, np.ndarray):
-        return _lane_pairs(partial(_finite_crn_lanes, rows), x, y, rng, max_steps)
+def _finite_crn_path(cum, x, y, rng, max_steps):
+    """Finite-chain pairs that bisect one shared uniform in their two rows."""
     uniform = scalar_draws(rng).next_uniform
     xs, ys = [], []
     for _ in range(max_steps):
@@ -497,3 +495,12 @@ def _finite_crn_path(cum, rows, x, y, rng, max_steps):
 def _finite_crn_lanes(rows, x, y, rng):
     u = rng.random(len(x))
     return _next_states(rows, x, u), _next_states(rows, y, u)
+
+
+def _next_states(rows: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per lane, ``bisect_right(rows[s], u)``: the first index whose cumulative sum exceeds u.
+
+    ``u`` holds one uniform per lane in its last axis.  Each row ends at 1.0
+    and u < 1, so that index exists.
+    """
+    return (rows.take(s, axis=0) > u[..., None]).argmax(axis=-1)

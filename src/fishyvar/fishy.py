@@ -23,8 +23,8 @@ from .rng import LaneDraws, RngStream, as_generator
 from .simulate import (
     _CHUNK_STEPS,
     DEFAULT_TRANSITION_BUDGET,
-    LANES,
     TransitionBudgetError,
+    _last_step,
     lane_batches,
     lane_h,
     lockstep,
@@ -78,8 +78,7 @@ def estimate_fishy(
         return FishyEstimate(np.zeros(h.arity), y, x, 0, 0)
     hfn = h.evaluator
     acc = hfn(x) - hfn(y)
-    # the cost after step tau is 2 tau; the budget trips at the first step reaching it
-    tau_max = (budget + 1) // 2 if budget > 1 else 1
+    tau_max = _last_step(budget, 0)
     path = kernel.coupled_path
     xs, ys = path(x, y, rng, tau_max if tau_max < _CHUNK_STEPS else _CHUNK_STEPS)
     tau = len(xs)
@@ -202,7 +201,7 @@ def _lane_fishy(kernel, h, x, y, batch: tuple[RngStream, int]) -> np.ndarray:
     stream, n = batch
     if x == y:
         return np.zeros((2, n))
-    draws = LaneDraws(stream, LANES)
+    draws = LaneDraws(stream)
     terms = []  # (lanes apart at t, X_t, Y_t)
 
     def visit(t, xs, ys, apart):

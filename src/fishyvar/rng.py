@@ -36,10 +36,10 @@ lanes in lockstep (see :mod:`fishyvar.simulate`) draw through
 :class:`LaneDraws`.  A batch has its own stream; its generator serves the
 lanes' initial states from counter 0 on, as any stream does.  Before
 lockstep step t the batch's Philox is re-stated to the counter (0, t, 0, 0),
-and the step's blocks of ``width`` words (256 for the drivers) follow in a
-fixed ordinal order.  Philox makes four words per counter, so block o
-spans the counters whose first word runs from o w/4 + 1 to (o + 1) w/4 and
-whose second word is t.
+and the step's blocks of ``LANES`` = 256 words follow in a fixed ordinal
+order.  Philox makes four words per counter, so block o spans the counters
+whose first word runs from 64 o + 1 to 64 (o + 1) and whose second word is
+t.  The blocks serve only ``random``, to a kernel's ``step`` and ``coupled_step``.
 Lane i always takes word i of a block, whatever the number of live lanes,
 so a lane's draws, and so its replicate's result, depend on the batch key,
 the lane, the step and the ordinal alone, and no two (batch, step, ordinal)
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RngStream", "LaneDraws", "as_generator", "scalar_draws"]
+__all__ = ["RngStream", "LaneDraws", "LANES", "as_generator", "scalar_draws"]
 
 # Children of a stream occupy the block [id * BRANCH + 1, id * BRANCH + BRANCH],
 # so sibling subtrees never collide; `child` rejects fan-outs beyond BRANCH.
@@ -76,6 +76,9 @@ _BULK_DRAWS = ("standard_normal", "random")
 _chain_blocks = chain.from_iterable  # looked up once: the class attribute lookup is slow
 _MANTISSA_SHIFT, _ULP = np.uint64(11), 2.0**-53  # a raw word's uniform, as Generator.random
 _NOTHING_BUFFERED = {"buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+# Lanes per lockstep batch, and the width of every lane-addressed block.
+LANES = 256
 
 
 class _StreamKey(ISeedSequence):
@@ -264,14 +267,13 @@ class LaneDraws:
     ``Generator.random()``'s value for it.
     """
 
-    __slots__ = ("generator", "width", "_bits", "_key", "_words", "_drawn", "_lanes", "_next")
+    __slots__ = ("generator", "_bits", "_key", "_words", "_drawn", "_lanes", "_next")
 
-    def __init__(self, stream: "RngStream", width: int):
+    def __init__(self, stream: "RngStream"):
         self.generator = stream.generator()
-        self.width = width
         self._bits = self.generator.bit_generator
         self._key = (stream.stream_id, stream.master_seed)
-        self._words = np.empty((16, width), dtype=np.uint64)
+        self._words = np.empty((16, LANES), dtype=np.uint64)
 
     def step(self, t: int) -> None:
         """Re-state the Philox to step ``t``'s counters and forget the blocks drawn before."""
@@ -285,7 +287,7 @@ class LaneDraws:
         self._next = 0
         return self
 
-    def random(self, size=None) -> np.ndarray:
+    def random(self, size) -> np.ndarray:
         """The next block's uniforms at the lanes taken (rows of ``size[0]`` blocks for a tuple)."""
         first = self._next
         rows = isinstance(size, tuple)
@@ -299,10 +301,10 @@ class LaneDraws:
         drawn, words = self._drawn, self._words
         if end > drawn:
             if end > len(words):
-                grown = np.empty((2 * end, self.width), dtype=np.uint64)
+                grown = np.empty((2 * end, LANES), dtype=np.uint64)
                 grown[:drawn] = words[:drawn]
                 self._words = words = grown
-            words[drawn:end] = self._bits.random_raw((end - drawn, self.width))
+            words[drawn:end] = self._bits.random_raw((end - drawn, LANES))
             self._drawn = end
         return words
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .chains import CoupledKernel, State, TestFunction, _state_equality
-from .rng import LaneDraws, RngStream, as_generator
+from .rng import LANES, LaneDraws, RngStream, as_generator
 
 __all__ = [
     "CoupledRun",
@@ -47,8 +47,12 @@ DEFAULT_TRANSITION_BUDGET = 10**8
 # a run holds a bounded number of states at once however late its chains meet.
 _CHUNK_STEPS = 4096
 
-# Lanes per lockstep batch, and the width of every lane-addressed block.
-LANES = 256
+
+def _last_step(budget: int, lag: int) -> int:
+    """The X index of the last coupled step a run with ``lag`` may take within ``budget``."""
+    # the cost after coupled step t - lag is lag + 2 (t - lag) = 2 t - lag;
+    # the budget trips at the first step reaching it
+    return (budget + lag + 1) // 2 if budget > lag + 1 else lag + 1
 
 
 class TransitionBudgetError(RuntimeError):
@@ -151,9 +155,7 @@ def run_coupled(
 
     t = lag  # index of the X chain
     if lag or not met(x0, y0):
-        # the cost after coupled step t - lag is lag + 2 (t - lag) = 2 t - lag;
-        # the budget trips at the first step reaching it
-        t_max = (budget + lag + 1) // 2 if budget > lag + 1 else lag + 1
+        t_max = _last_step(budget, lag)
         y = y0
         while True:
             steps = t_max - t
@@ -215,7 +217,7 @@ def sample_meetings(
     if kernel.lanes:
 
         def batch(item: tuple[RngStream, int]) -> list[MeetingSample]:
-            draws = LaneDraws(item[0], LANES)
+            draws = LaneDraws(item[0])
             x0, y0 = lane_starts(init_sampler, draws.generator, item[1])
             taus = lockstep(kernel, x0, y0, lag, 0, draws).tolist()
             costs = [2 * tau - lag for tau in taus]
@@ -303,14 +305,14 @@ def lane_starts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """X_0 and Y_0 of ``n`` lanes, ``init_sampler`` called for X_0 then Y_0 lane by lane.
 
-    A sampler that draws one scalar ``rng.integers`` per start, with the same
-    bounds each time, is served from one sized draw of all 2n (numpy's scalar
-    and sized bounded draws read the same words and leave the same state).
-    Any other use of the generator, or an error, restores its state and
-    calls the sampler on ``rng`` itself, so the starts, and the state the
-    generator is left in, are those of the lane-by-lane calls.  The sampler
-    may then be called more than 2n times in all, so its draws should come
-    from the generator it is given alone.
+    A sampler that draws one scalar ``rng.integers(bound)`` per start, of one
+    Python-int bound, as the finite chains' initial law does, is served from
+    one sized draw of all 2n (numpy's scalar and sized bounded draws read the
+    same words and leave the same state).  Any other use of the generator,
+    or an error, restores its state and calls the sampler on ``rng`` itself,
+    so the starts, and the state the generator is left in, are those of the
+    lane-by-lane calls.  The sampler may then be called more than 2n times
+    in all, so its draws should come from the generator it is given alone.
     """
     state = rng.bit_generator.state
     served = _ScalarIntegers(rng, 2 * n)
@@ -329,55 +331,39 @@ class _Unserved(BaseException):
 
 
 class _ScalarIntegers:
-    """Serves ``count`` scalar ``integers(low, high)`` calls of equal bounds from one sized draw.
+    """Serves ``count`` scalar ``integers(bound)`` calls of one int bound from one sized draw.
 
-    Any other call, or attribute, raises :class:`_Unserved`, and so does a
-    call past ``count`` or with other bounds than the first.
+    The first call, of a Python int, draws, and later calls pass on the
+    identity of its bound object.  Any other call, or attribute, raises
+    :class:`_Unserved`, and so does a call past ``count``.
     """
 
     def __init__(self, rng: np.random.Generator, count: int):
         self._rng, self._count = rng, count
-        self._low = self._high = _NO_BOUND  # until the first call draws
-        self._values = None
+        self._bound, self._values = None, iter(())  # until the first call draws
         self._failed = False
 
-    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        # the bound objects of the call before, the usual case, pass on identity alone
-        if low is not self._low or high is not self._high or size is not None or endpoint:
-            self._check(low, high, size, endpoint)
-        if dtype is np.int64:
-            value = next(self._values, None)
-            if value is not None:
-                return value
-        self._failed = True
-        raise _Unserved
-
-    def _check(self, low, high, size, endpoint) -> None:
-        """Draw on the first call, and let later calls with equal int bounds through."""
-        if size is None and not endpoint and _is_int(low) and (high is None or _is_int(high)):
-            if self._values is None:
-                self._values = iter(self._rng.integers(low, high, self._count))
-                self._low, self._high = low, high
-                return
-            if (low, high) == (self._low, self._high):
-                return
-        self._failed = True
-        raise _Unserved
+    def integers(self, bound, *args, **kwargs):
+        if bound is not self._bound or args or kwargs:
+            if self._bound is not None or args or kwargs or type(bound) is not int:
+                self._refuse()
+            self._bound = bound
+            self._values = iter(self._rng.integers(bound, size=self._count))
+        value = next(self._values, None)
+        if value is None:
+            self._refuse()
+        return value
 
     def __getattr__(self, name):
+        self._refuse()
+
+    def _refuse(self):
         self._failed = True
         raise _Unserved
 
     def exact(self) -> bool:
         """Whether no call was refused and the sized draw, if any, was used up."""
-        return not self._failed and (self._values is None or next(self._values, None) is None)
-
-
-_NO_BOUND = object()
-
-
-def _is_int(bound) -> bool:
-    return isinstance(bound, (int, np.integer))
+        return not self._failed and next(self._values, None) is None
 
 
 def lockstep(
@@ -408,7 +394,7 @@ def lockstep(
     tau = np.zeros(len(lanes), dtype=np.int64)
     apart = lanes if lag else lanes[x0 != y0]
     ahead = none if lag else lanes[x0 == y0]  # met lanes whose X runs on to the horizon
-    t_max = (budget + lag + 1) // 2 if budget > lag + 1 else lag + 1
+    t_max = _last_step(budget, lag)
     step, coupled = kernel.base.step, kernel.coupled_step
     if visit is not None:
         visit(0, x, y, none)

@@ -23,7 +23,6 @@ import numpy as np
 from .chains import CoupledKernel, State, TestFunction
 from .rng import LaneDraws, RngStream, as_generator, scalar_draws
 from .simulate import (
-    LANES,
     CoupledRun,
     lane_batches,
     lane_h,
@@ -342,7 +341,7 @@ def _lane_estimates(kernel, init_sampler, h, k, ell, lag, stream, n) -> list[Unb
     X_k..X_ell, then the correction pairs in time order.
     """
     _check_window(k, ell, lag)
-    draws = LaneDraws(stream, LANES)
+    draws = LaneDraws(stream)
     x0, y0 = lane_starts(init_sampler, draws.generator, n)
     block: list[np.ndarray] = []  # X_k..X_ell on every lane
     pairs: list[tuple] = []  # (t, lanes apart at t, X_t, Y_{t-lag}) for t >= k + lag

@@ -583,6 +583,22 @@ def test_crn_ar1_coupling_shares_noise():
     assert (y - x) == pytest.approx(0.5 * 4.0)
 
 
+@pytest.mark.parametrize(
+    "x0, y0",
+    [(0.0, 4.0), (3, -2), (np.array([0.0, 1.0, 2.0]), np.array([4.0, -1.0, 2.5]))],
+    ids=["float", "int", "array"],
+)
+def test_crn_ar1_x_path_is_the_base_path(x0, y0):
+    # X's coupled steps read the base kernel's draws, so an array state's
+    # coordinates take independent normals, as its base steps do
+    kernel = ar1_kernel(Ar1Model(0.6), "common-random-numbers")
+    xs, _ = kernel.coupled_path(x0, y0, RngStream(21).generator(), 20)
+    expected = kernel.base.path(x0, 20, RngStream(21).generator())
+    assert len(xs) == len(expected) == 20
+    for x, want in zip(xs, expected):
+        np.testing.assert_array_equal(x, want)
+
+
 def test_finite_crn_coupling_is_faithful(np_rng):
     model = random_finite_chain(np_rng)
     kernel = finite_kernel(model, "common-random-numbers")

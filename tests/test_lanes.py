@@ -233,7 +233,7 @@ def test_blocks_of_distinct_steps_ordinals_and_batches_share_no_counter():
     spans = set()
     for b in range(3):
         batch = RngStream(11).child(b)
-        draws = LaneDraws(batch, LANES)
+        draws = LaneDraws(batch)
         lanes = np.arange(LANES)
         for t in (1, 2, 3, 64, 65, 2**40):
             draws.step(t)
@@ -250,7 +250,7 @@ def test_blocks_of_distinct_steps_ordinals_and_batches_share_no_counter():
                 assert not spans & block, (b, t, ordinal)
                 spans |= block
     # the blocks' words are the reference's, a Philox at the block's own counter
-    draws = LaneDraws(RngStream(11).child(1), LANES)
+    draws = LaneDraws(RngStream(11).child(1))
     words = Words(RngStream(11).child(1))
     draws.step(3)
     lanes = np.array([200, 0])
@@ -295,6 +295,8 @@ def _checks_type(rng):
 STARTS = {
     "integers(n)": lambda rng: int(rng.integers(4)),
     "integers(0, n)": lambda rng: int(rng.integers(0, 7)),
+    "numpy int bound": lambda rng: int(rng.integers(np.int64(4))),
+    "equal bound, new object": lambda rng: int(rng.integers(int("300"))),
     "integers(0, n), n = 2^31 + 5": lambda rng: int(rng.integers(0, 2**31 + 5)),
     "integers(n), n = 2^40 + 3": lambda rng: int(rng.integers(2**40 + 3)),
     "numpy scalar": lambda rng: rng.integers(200),
@@ -365,7 +367,7 @@ def test_budget_trips_per_lane_at_the_scalar_cost():
     lag, budget = 1, 5  # at most two coupled steps
     x0, y0 = simulate.lane_starts(init, stream.generator(), 40)
     with pytest.raises(TransitionBudgetError) as lanes:
-        lockstep(kernel, x0, y0, lag, 0, LaneDraws(stream, LANES), budget=budget)
+        lockstep(kernel, x0, y0, lag, 0, LaneDraws(stream), budget=budget)
     scalar = None
     for seed in range(200):
         try:

@@ -481,6 +481,49 @@ def test_finite_marginals_match_base_kernel(np_rng):
             assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
+def _gamma_coupling_pmf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact joint pmf of the maximal coupling of rows p and q (Lindvall's γ-coupling).
+
+    min(p_i, q_i) on the diagonal and (p_i - m_i)(q_j - m_j) / (1 - sum m)
+    off it; the product term vanishes on the diagonal.
+    """
+    m = np.minimum(p, q)
+    return np.diag(m) + np.outer(p - m, q - m) / (1.0 - m.sum())
+
+
+# zeros off the diagonal, so some residual rows hold zero entries
+_SPARSE_ROWS = np.array(
+    [[0.5, 0.5, 0.0, 0.0], [0.0, 0.3, 0.7, 0.0], [0.2, 0.0, 0.4, 0.4], [0.6, 0.0, 0.0, 0.4]]
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        random_finite_chain(np.random.default_rng(41)),
+        FiniteChainModel(_SPARSE_ROWS, np.zeros(4)),
+    ],
+    ids=["dense", "sparse"],
+)
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+def test_finite_maximal_step_has_the_gamma_coupling_joint_pmf(model, lanes):
+    p = model.transition_matrix
+    step = finite_kernel(model, "maximal-rejection").coupled_step
+    rng = RngStream(42 + lanes).generator()
+    m = 25_000  # steps per starting pair
+    for x, y in [(0, 1), (1, 3), (2, 0), (3, 2)]:
+        if lanes:
+            xs, ys = step(np.full(m, x), np.full(m, y), rng)
+        else:
+            xs, ys = np.array([step(x, y, rng) for _ in range(m)]).T
+        counts = np.zeros((4, 4))
+        np.add.at(counts, (xs, ys), 1)
+        expected = m * _gamma_coupling_pmf(p[x], p[y])
+        assert not counts[expected == 0.0].any()
+        keep = expected > 0.0
+        assert stats.chisquare(counts[keep], expected[keep]).pvalue > 1e-3, (x, y)
+
+
 def _sparse_finite_chain(rng: np.random.Generator, n_states: int) -> FiniteChainModel:
     """Random chain with zero entries; the diagonal and a cycle stay positive."""
     p = rng.uniform(0.05, 1.0, size=(n_states, n_states))

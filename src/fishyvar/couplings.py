@@ -5,7 +5,8 @@ distributions given log-densities and samplers, reflection-maximal couplings of
 equal-covariance Normals (univariate and multivariate, with deterministic
 cost), a coupled MRTH kernel sharing one acceptance uniform, and the
 common-random-number + maximal-coupling construction for the Cauchy location
-Gibbs sampler.  One factory per sampler assembles its faithful
+Gibbs sampler, and the maximal coupling of two finite-chain rows by residual
+sampling.  One factory per sampler assembles its faithful
 :class:`~fishyvar.chains.CoupledKernel`; ``config.MODELS`` names the factory
 each built-in model uses.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import partial
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -87,7 +89,10 @@ def maximal_coupling(
         log_w = math.log(w) if w > 0.0 else -math.inf
         if log_w > log_p(y) - log_q(y):
             return x, y, False
-    raise _cap_error()
+    raise MaximalCouplingCapError(
+        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations; "
+        "the density ratio is likely near-singular"
+    )
 
 
 def reflection_maximal_1d(
@@ -364,7 +369,9 @@ def cauchy_mrth_kernel(model: CauchyNormalModel, kind: str | None = None) -> Cou
 def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKernel:
     """Finite-chain kernel coupled by row-wise maximal coupling (default) or CRN.
 
-    Its ``step`` and ``coupled_step`` take a lane rule on int arrays of states
+    The maximal kind, still named ``maximal-rejection``, samples the γ-coupling
+    by residual rows (:func:`_finite_maximal_path`).  Its ``step`` and
+    ``coupled_step`` take a lane rule on int arrays of states
     (:attr:`~fishyvar.chains.CoupledKernel.lanes`), else one scalar-loop step.
     """
     kind = _coupling_kind("finite", kind, ("maximal-rejection", "common-random-numbers"))
@@ -397,11 +404,14 @@ def finite_kernel(model: FiniteChainModel, kind: str | None = None) -> CoupledKe
 
 
 def _finite_maximal_path(p, cum, x, y, rng, max_steps):
-    """Finite-chain pairs joined by the rejection maximal coupling of rows ``p[x]`` and ``p[y]``.
+    """Finite-chain pairs joined by the maximal coupling of rows ``p[x]`` and ``p[y]``.
 
-    The same draw sequence and accept rule as :func:`maximal_coupling`,
-    specialized to pmf rows (the ratio test w <= q/p becomes w * p <= q,
-    exact for probabilities); equal states take one shared step.
+    X proposes from its row; the pair meets there when a second uniform u has
+    u * p[x][X] <= p[y][X] (ties meet) and p[y][X] > 0.  Otherwise Y bisects
+    the residual row max(p[y] - p[x], 0), summed in ``np.cumsum``'s order, at
+    a third uniform times its total, so at a positive residual: given no
+    meeting, X and Y follow their own residuals independently (the γ-coupling).
+    Rows that differ only by rounding can leave no residual; Y then bisects its row.
     """
     uniform = scalar_draws(rng).next_uniform
     xs, ys = [], []
@@ -410,18 +420,14 @@ def _finite_maximal_path(p, cum, x, y, rng, max_steps):
             x = y = bisect_right(cum[x], uniform())
         else:
             row_x, row_y = p[x], p[y]
-            nxt = bisect_right(cum[x], uniform())
-            if uniform() * row_x[nxt] <= row_y[nxt]:
-                y = nxt
+            x = bisect_right(cum[x], uniform())
+            if uniform() * row_x[x] <= row_y[x] > 0.0:  # u = 0 must not meet off Y's support
+                y = x
             else:
-                cum_y = cum[y]
-                for _ in range(DEFAULT_REJECTION_CAP):
-                    y = bisect_right(cum_y, uniform())
-                    if uniform() * row_y[y] > row_x[y]:
-                        break
-                else:
-                    raise _cap_error()
-            x = nxt
+                sums = list(accumulate([b - a if b > a else 0.0 for a, b in zip(row_x, row_y)]))
+                u = uniform()
+                t = u * sums[-1]
+                y = bisect_right(sums, t) if t < sums[-1] else bisect_right(cum[y], u)
         xs.append(x)
         ys.append(y)
         if x == y:
@@ -429,51 +435,25 @@ def _finite_maximal_path(p, cum, x, y, rng, max_steps):
     return xs, ys
 
 
-def _cap_error() -> MaximalCouplingCapError:
-    return MaximalCouplingCapError(
-        f"maximal coupling rejection loop exceeded {DEFAULT_REJECTION_CAP} iterations; "
-        "the density ratio is likely near-singular"
-    )
-
-
-# Rejection rounds a lane step draws at a time, the first ones with its first two blocks.
-_LANE_ROUNDS = 6
-
-
 def _finite_maximal_lanes(p_rows, rows, x, y, rng):
-    """One maximal-coupling step per lane, on whole blocks in the scalar loop's draw order.
+    """One maximal-coupling step per lane on three blocks, in the scalar loop's draw order.
 
-    Blocks 0 and 1 serve the X proposal and its acceptance test, and
-    rejection round j blocks 2 + 2j (Y's proposal, from its original row)
-    and 3 + 2j (its test).  A lane with equal states always passes the test
-    (u p <= p for u < 1), as the scalar loop's shared step does without
-    drawing it.  Rounds are drawn ``_LANE_ROUNDS`` at a time while any lane
-    still rejects; a lane keeps its first accepted round, reading only its own
-    word of each block, so it follows the scalar rule on its words, cap
-    included.
+    Block 0 serves X's proposal, block 1 the overlap test and block 2 Y's
+    residual draw.  A lane with equal states always passes the test (u p <= p
+    for u < 1), as the scalar loop's shared step does without drawing it.
     """
-    m = len(x)
-    u = rng.random((2 + 2 * _LANE_ROUNDS, m))
+    u = rng.random((3, len(x)))
     x_next = _next_states(rows, x, u[0])
     y_next = x_next.copy()
-    apart = (u[1] * p_rows[x, x_next] > p_rows[y, x_next]).nonzero()[0]
-    u = u[2:]
-    done = 0  # rejection rounds behind
-    while apart.size:
-        rounds = min(_LANE_ROUNDS, DEFAULT_REJECTION_CAP - done)
-        if rounds <= 0:
-            raise _cap_error()
-        if done:
-            u = rng.random((2 * _LANE_ROUNDS, m))
-        u_apart = u[: 2 * rounds, apart]
-        xa, ya = x[apart], y[apart]
-        proposals = _next_states(rows, ya, u_apart[0::2])
-        accepted = u_apart[1::2] * p_rows[ya, proposals] > p_rows[xa, proposals]
-        first = accepted.argmax(axis=0)
-        lanes = np.arange(len(apart))
-        y_next[apart] = proposals[first, lanes]
-        apart = apart[~accepted[first, lanes]]
-        done += rounds
+    q = p_rows[y, x_next]
+    apart = ((u[1] * p_rows[x, x_next] > q) | (q == 0.0)).nonzero()[0]
+    if apart.size:
+        ya, ua = y[apart], u[2, apart]
+        sums = np.cumsum(np.maximum(p_rows[ya] - p_rows[x[apart]], 0.0), axis=1)
+        target = ua * sums[:, -1]
+        if (empty := ~(target < sums[:, -1])).any():  # rows that differ only by rounding
+            sums[empty], target[empty] = rows[ya[empty]], ua[empty]
+        y_next[apart] = (sums > target[:, None]).argmax(axis=1)
     return x_next, y_next
 
 

@@ -373,7 +373,6 @@ def lockstep(
     lag: int,
     horizon: int,
     draws: LaneDraws,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
     visit: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Meeting times of the lag-coupled runs of lanes i from ``(x0[i], y0[i])``, in lockstep.
@@ -381,9 +380,10 @@ def lockstep(
     Each lane follows :func:`run_coupled`'s schedule: ``lag`` warm-up steps
     of X, coupled steps until X_t = Y_{t-lag}, then X alone up to index
     ``horizon``; a lane is dropped once it is done, and the budget trips as
-    there.  Step t re-states ``draws`` and calls ``kernel.base.step`` once
-    for the lanes moving X alone and ``kernel.coupled_step`` once for the
-    lanes still coupling, so lane i draws word i of step t's blocks.
+    there (``DEFAULT_TRANSITION_BUDGET``, read when it runs).  Step t
+    re-states ``draws`` and calls ``kernel.base.step`` once for the lanes
+    moving X alone and ``kernel.coupled_step`` once for the lanes still
+    coupling, so lane i draws word i of step t's blocks.
     ``visit(t, x, y, apart)``, after each step t from 0 on, sees X_t at
     ``x[i]`` for every lane that moved and, for the lanes ``apart`` whose
     pair has not met by step t, Y_{t-lag} at ``y[i]``.
@@ -394,7 +394,7 @@ def lockstep(
     tau = np.zeros(len(lanes), dtype=np.int64)
     apart = lanes if lag else lanes[x0 != y0]
     ahead = none if lag else lanes[x0 == y0]  # met lanes whose X runs on to the horizon
-    t_max = _last_step(budget, lag)
+    t_max = _last_step(DEFAULT_TRANSITION_BUDGET, lag)
     step, coupled = kernel.base.step, kernel.coupled_step
     if visit is not None:
         visit(0, x, y, none)

@@ -100,27 +100,6 @@ def test_maximal_coupling_rejection_cap_raises(monkeypatch):
         maximal_coupling(log_p, sample_p, log_q, sample_q, _AlwaysReject())
 
 
-def test_finite_maximal_rejection_cap_raises(monkeypatch):
-    # the cap is read when the step runs, so a lowered module constant applies
-    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 50)
-    model = FiniteChainModel(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.0, 1.0]))
-    step = finite_kernel(model, "maximal-rejection").coupled_step
-
-    class _AlwaysReject:
-        calls = 0
-
-        def random(self):
-            # X picks state 0; 1.0 fails the overlap test 1.0 * 0.7 <= 0.2,
-            # and 0.0 then rejects every residual proposal for Y
-            self.calls += 1
-            return 1.0 if self.calls == 2 else 0.0
-
-    rng = _AlwaysReject()
-    with pytest.raises(MaximalCouplingCapError, match="50 iterations"):
-        step(0, 1, rng)
-    assert rng.calls == 2 + 2 * 50
-
-
 def test_cauchy_gibbs_rejection_cap_is_read_when_the_step_runs(monkeypatch):
     monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", 50)
     model = CauchyNormalModel()
@@ -536,7 +515,11 @@ def _sparse_finite_chain(rng: np.random.Generator, n_states: int) -> FiniteChain
 
 
 def _reference_finite_steps(p: np.ndarray):
-    """Array-based single and coupled finite steps: np.searchsorted on cumulative rows."""
+    """Array-based single and coupled finite steps: np.searchsorted on cumulative rows.
+
+    The maximal step draws Y, when the pair does not meet, from the residual
+    row max(p[y] - p[x], 0) at one uniform times its total.
+    """
     cum = np.cumsum(p, axis=1)
 
     def single(s, rng):
@@ -547,12 +530,10 @@ def _reference_finite_steps(p: np.ndarray):
             nxt = single(x, rng)
             return nxt, nxt
         nxt = single(x, rng)
-        if rng.random() * p[x, nxt] <= p[y, nxt]:
+        if rng.random() * p[x, nxt] <= p[y, nxt] and p[y, nxt] > 0.0:
             return nxt, nxt
-        while True:
-            other = single(y, rng)
-            if rng.random() * p[y, other] > p[x, other]:
-                return nxt, other
+        residual = np.cumsum(np.maximum(p[y] - p[x], 0.0))
+        return nxt, int(np.searchsorted(residual, rng.random() * residual[-1], side="right"))
 
     def crn(x, y, rng):
         u = rng.random()

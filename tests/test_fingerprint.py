@@ -112,7 +112,7 @@ CASES = {
 
 DIGESTS = {
     "ar1_suave": "e82adfdd63609f31cea31712dbcf4a054d490d7361e26785ce00bfc7461d15ff",
-    "finite_suave": "6c9ca4df2bd47dc093059b893dddadfd8acbb91f8e7067a29c60857572368fd7",
+    "finite_suave": "1b72fd51dab4d07835242274e2184a5c5c8402b933d2edb4c4a838ced5a016b1",
     "cauchy_meetings": "e88b45c99e956f75d640d91fb16c716af5af03a9a2b100a1070b755093b31816",
     "cauchy_mrth": "5ce2e5cf1400f5a85538ec648fb8a25627ce5a4a6d9312578b93f8c3dfc7cf80",
     "bootstrap_summaries": "5edc41f87c6e7b3fb68e3288fe0d652d3f8e28ff75bfa3c40ddf703d18207a6b",

@@ -16,10 +16,10 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from fishyvar import couplings, simulate
-from fishyvar.chains import CoupledKernel, MarkovKernel
+from fishyvar import simulate
+from fishyvar.chains import CoupledKernel, FiniteChainModel, MarkovKernel
 from fishyvar.config import MODELS
-from fishyvar.couplings import MaximalCouplingCapError, finite_kernel
+from fishyvar.couplings import finite_kernel
 from fishyvar.fishy import estimate_fishy, fishy_profile
 from fishyvar.rng import LaneDraws, RngStream
 from fishyvar.simulate import (
@@ -64,7 +64,6 @@ class Reference:
         self.kind = kind
         self.words = functools.partial(words, lane=lane)
         self.read: list[float] = []  # every word read, in the scalar loops' draw order
-        self.rounds = 0  # most rejection rounds any step needed
 
     def u(self, t, ordinal):
         self.read.append(self.words(t, ordinal))
@@ -80,15 +79,11 @@ class Reference:
         nxt = bisect_right(self.cum[x], u0)
         if x == y:
             return nxt, nxt
-        if self.u(t, 1) * self.p[x][nxt] <= self.p[y][nxt]:
+        if self.u(t, 1) * self.p[x][nxt] <= self.p[y][nxt] and self.p[y][nxt] > 0.0:
             return nxt, nxt
-        j = 0
-        while True:
-            proposal = bisect_right(self.cum[y], self.u(t, 2 + 2 * j))
-            j += 1
-            if self.u(t, 3 + 2 * (j - 1)) * self.p[y][proposal] > self.p[x][proposal]:
-                self.rounds = max(self.rounds, j)
-                return nxt, proposal
+        # Y from the residual row: the first residual sum above u times their total
+        sums = np.cumsum(np.maximum(np.subtract(self.p[y], self.p[x]), 0.0))
+        return nxt, int(np.argmax(sums > self.u(t, 2) * sums[-1]))
 
     def run(self, x0, y0, lag, horizon) -> CoupledRun:
         xs, ys = [x0], [y0]
@@ -196,6 +191,64 @@ def test_each_fishy_lane_is_the_scalar_telescoping_sum_on_its_words(kind):
         assert profile.second_moment[p] == np.mean(values**2)
         assert profile.se[p] == values.std(ddof=1) / np.sqrt(n_reps)
         assert profile.mean_cost[p] == np.mean(costs)
+
+
+class Block:
+    """A generator stub whose ``random(size)`` serves one fixed block."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def random(self, size):
+        assert size == self.block.shape
+        return self.block
+
+
+TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
+
+# a sparse chain, tenths whose float row sums end at 1 - 2^-53 (row 9 reaches an
+# eleventh state), and two rows that differ only by rounding, so no residual
+CHAINS = {
+    "dense": np.random.default_rng(20).dirichlet(np.ones(4), size=4),
+    "sparse": np.array(
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.3, 0.7, 0.0], [0.2, 0.0, 0.4, 0.4], [0.6, 0.0, 0.0, 0.4]]
+    ),
+    "tenths": np.vstack(
+        [np.r_[np.full(10, 0.1), 0.0]] * 9 + [np.r_[np.full(9, 0.1), 0.0, 0.1]] * 2
+    ),
+    "rounding": np.array([[0.3, 0.7], [0.3 - 4e-13, 0.7]]),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_a_maximal_lane_step_is_the_scalar_step_on_its_three_words(name):
+    p = CHAINS[name]
+    model = FiniteChainModel(p, np.zeros(len(p)))
+    step = finite_kernel(model, "maximal-rejection").coupled_step
+    n = len(p)
+    words = (0.0, 0.3, 0.77, TOP)
+    cases = list(itertools.product(range(n), range(n), words, words, words))
+    x, y, *u = map(np.array, zip(*cases))
+    xs, ys = step(x, y, Block(np.array(u)))
+    for lane, (x0, y0, *lane_words) in enumerate(cases):
+        rng = Replay(lane_words)
+        assert (xs[lane], ys[lane]) == step(x0, y0, rng)
+        # one word for equal states, two for a pair that passes the overlap test, else three
+        read = len(lane_words) - len(list(rng.random.__self__))
+        overlap = lane_words[1] * p[x0, xs[lane]] <= p[y0, xs[lane]] > 0.0
+        assert read == (1 if x0 == y0 else 2 if overlap else 3)
+        assert p[x0, xs[lane]] > 0.0 and p[y0, ys[lane]] > 0.0
+
+
+def test_rows_that_differ_only_by_rounding_draw_y_from_its_own_row():
+    p = CHAINS["rounding"]
+    assert p[1].sum() < 1.0 and np.all(p[1] <= p[0])
+    step = finite_kernel(FiniteChainModel(p, np.zeros(2))).coupled_step
+    # X proposes 0 and fails the overlap test; Y's residual is empty, so it
+    # bisects its own row at 0.5
+    assert step(0, 1, Replay([0.0, TOP, 0.5])) == (0, 1)
+    xs, ys = step(np.array([0]), np.array([1]), Block(np.array([[0.0], [TOP], [0.5]])))
+    assert (xs.tolist(), ys.tolist()) == ([0], [1])
 
 
 def test_a_fishy_lane_is_estimate_fishy_on_the_words_it_reads():
@@ -360,14 +413,16 @@ def test_step_counters_lie_above_every_initial_state_draw():
     assert rng.bit_generator.state["state"]["counter"][1] == 0
 
 
-def test_budget_trips_per_lane_at_the_scalar_cost():
+def test_budget_trips_per_lane_at_the_scalar_cost(monkeypatch):
     model, init = _chain(13)
     kernel = finite_kernel(model)
     stream = RngStream(14)
     lag, budget = 1, 5  # at most two coupled steps
     x0, y0 = simulate.lane_starts(init, stream.generator(), 40)
+    # lockstep reads the budget when it runs
+    monkeypatch.setattr(simulate, "DEFAULT_TRANSITION_BUDGET", budget)
     with pytest.raises(TransitionBudgetError) as lanes:
-        lockstep(kernel, x0, y0, lag, 0, LaneDraws(stream), budget=budget)
+        lockstep(kernel, x0, y0, lag, 0, LaneDraws(stream))
     scalar = None
     for seed in range(200):
         try:
@@ -377,27 +432,6 @@ def test_budget_trips_per_lane_at_the_scalar_cost():
             break
     assert scalar is not None
     assert (lanes.value.lag, lanes.value.transitions) == (scalar.lag, scalar.transitions)
-
-
-def test_rejection_cap_trips_at_the_scalar_round(monkeypatch):
-    model, init = _chain(16)
-    kernel = finite_kernel(model)
-    h = model.test_function()
-    stream = RngStream(17)
-    n, k, ell, lag = 64, 2, 9, 2
-    rounds = max(
-        reference_run(model, "maximal-rejection", init, stream, r, lag, ell)[1].rounds
-        for r in range(n)
-    )
-    assert rounds >= 1
-    expected = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
-    monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", rounds)
-    capped = sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
-    assert [e.value.tolist() for e in capped] == [e.value.tolist() for e in expected]
-    for cap in (rounds - 1, 0):
-        monkeypatch.setattr(couplings, "DEFAULT_REJECTION_CAP", cap)
-        with pytest.raises(MaximalCouplingCapError):
-            sample_unbiased(kernel, init, h, k, ell, lag, n, stream)
 
 
 def _traced(fn):

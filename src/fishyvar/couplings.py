@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import partial
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -409,9 +408,8 @@ def _finite_maximal_path(p, cum, x, y, rng, max_steps):
     X proposes from its row; the pair meets there when a second uniform u has
     u * p[x][X] <= p[y][X] (ties meet) and p[y][X] > 0.  Otherwise Y bisects
     the residual row max(p[y] - p[x], 0), summed in ``np.cumsum``'s order, at
-    a third uniform times its total, so at a positive residual: given no
-    meeting, X and Y follow their own residuals independently (the γ-coupling).
-    Rows that differ only by rounding can leave no residual; Y then bisects its row.
+    a third uniform times its total: the γ-coupling.  With no residual (rows
+    that differ only by rounding), Y bisects its own row.
     """
     uniform = scalar_draws(rng).next_uniform
     xs, ys = [], []
@@ -423,11 +421,13 @@ def _finite_maximal_path(p, cum, x, y, rng, max_steps):
             x = bisect_right(cum[x], uniform())
             if uniform() * row_x[x] <= row_y[x] > 0.0:  # u = 0 must not meet off Y's support
                 y = x
-            else:
-                sums = list(accumulate([b - a if b > a else 0.0 for a, b in zip(row_x, row_y)]))
+            else:  # a loop, not a comprehension: half the cost on short rows
+                total, sums = 0.0, []
+                for a, b in zip(row_x, row_y):
+                    total += b - a if b > a else 0.0
+                    sums.append(total)
                 u = uniform()
-                t = u * sums[-1]
-                y = bisect_right(sums, t) if t < sums[-1] else bisect_right(cum[y], u)
+                y = bisect_right(sums, u * total) if u * total < total else bisect_right(cum[y], u)
         xs.append(x)
         ys.append(y)
         if x == y:

@@ -110,7 +110,8 @@ class Replay:
     """A generator stub whose ``random()`` serves the given words in order."""
 
     def __init__(self, words):
-        self.random = iter(words).__next__
+        self.words = iter(words)
+        self.random = self.words.__next__
 
 
 def lane_starts(init, batch: RngStream, lane: int):
@@ -206,8 +207,8 @@ class Block:
 
 TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
 
-# a sparse chain, tenths whose float row sums end at 1 - 2^-53 (row 9 reaches an
-# eleventh state), and two rows that differ only by rounding, so no residual
+# a sparse chain, tenths whose float row sums end at 1 - 2^-53 (rows 9 and 10
+# skip state 9 for an eleventh), and two rows that differ only by rounding
 CHAINS = {
     "dense": np.random.default_rng(20).dirichlet(np.ones(4), size=4),
     "sparse": np.array(
@@ -234,7 +235,7 @@ def test_a_maximal_lane_step_is_the_scalar_step_on_its_three_words(name):
         rng = Replay(lane_words)
         assert (xs[lane], ys[lane]) == step(x0, y0, rng)
         # one word for equal states, two for a pair that passes the overlap test, else three
-        read = len(lane_words) - len(list(rng.random.__self__))
+        read = len(lane_words) - len(list(rng.words))
         overlap = lane_words[1] * p[x0, xs[lane]] <= p[y0, xs[lane]] > 0.0
         assert read == (1 if x0 == y0 else 2 if overlap else 3)
         assert p[x0, xs[lane]] > 0.0 and p[y0, ys[lane]] > 0.0

@@ -32,7 +32,14 @@ from .diagnostics import _ResampleGather, bootstrap_resample, percentile_interva
 from .fishy import FishyProfile, estimate_fishy
 from .rng import RngStream, as_generator
 from .simulate import replicates, run_coupled
-from .umcmc import SelectionProbs, SignedMeasure, _categorical, reservoir_select, signed_measure
+from .umcmc import (
+    SelectionProbs,
+    SignedMeasure,
+    _categorical,
+    _check_window,
+    reservoir_select,
+    signed_measure,
+)
 
 __all__ = [
     "AvarEstimate",
@@ -175,36 +182,10 @@ def _target_covariance(moments_a, moments_b):
     return 0.5 * (cross_a + cross_b) - 0.5 * (prod + (prod if scalar else prod.T))
 
 
-@dataclass(frozen=True)
-class _MeasureSummary:
-    """What the combination step needs from one signed measure."""
+def _draw_measures(bundle: ModelBundle, k: int, ell: int, lag: int, rng) -> list[SignedMeasure]:
+    """SUAVE's two independent signed measures, zero-weight atoms pruned.
 
-    moments: tuple  # integrals of h and h h^T; see _moments
-    selected_atoms: list
-    selected_weights: np.ndarray
-    selected_probs: list[float]
-    cost_units: int
-
-
-def _draw_summaries(
-    bundle: ModelBundle,
-    h: TestFunction,
-    k: int,
-    ell: int,
-    lag: int,
-    R: int,
-    xi_kind: str,
-    rng: np.random.Generator,
-    second_moment_table,
-) -> list[_MeasureSummary]:
-    """Draw SUAVE's two independent signed measures and R atoms from each.
-
-    Both measures are built before either selection, since each measure's
-    optimal probabilities depend on the other's integral of h.  Zero-weight
-    atoms are pruned first, so no fishy estimate is spent on one.  Uniform
-    selection draws R independent uniform atoms through a reservoir, which
-    costs about R (1 + ln N) uniforms for N atoms, and gives each the
-    probability 1/N without building the vector of them.
+    Pruning first means no fishy estimate is spent on a zero-weight atom.
     """
     measures = []
     for _ in range(2):
@@ -212,28 +193,7 @@ def _draw_summaries(
         y0 = bundle.init_sampler(rng)
         run = run_coupled(bundle.kernel, x0, y0, lag, ell, rng)
         measures.append(signed_measure(run, k, ell).pruned())
-
-    moments = [_moments(pihat, h) for pihat in measures]
-    summaries = []
-    for pihat, own, (other_mean_h, _) in zip(measures, moments, moments[::-1]):
-        if xi_kind == "uniform":
-            idx = reservoir_select(pihat.atoms, R, rng)
-            selected_probs = [1.0 / pihat.n_atoms] * R
-        else:
-            # other_mean_h is a float at arity 1, the only arity that reads it
-            xi = selection_probs(pihat, h, other_mean_h, second_moment_table, xi_kind).xi
-            idx = _categorical(xi, R, rng)
-            selected_probs = xi[idx].tolist()
-        summaries.append(
-            _MeasureSummary(
-                moments=own,
-                selected_atoms=[pihat.atoms[i] for i in idx.tolist()],
-                selected_weights=pihat.weights[idx],
-                selected_probs=selected_probs,
-                cost_units=pihat.cost_units,
-            )
-        )
-    return summaries
+    return measures
 
 
 def suave_multivariate(
@@ -259,10 +219,7 @@ def suave_multivariate(
     coordinates (trajectories do not depend on h), which correlates the
     entries but preserves unbiasedness.
     """
-    if lag < 1:
-        raise ValueError("lag must be at least 1")
-    if k > ell:
-        raise ValueError("k must not exceed ell")
+    _check_window(k, ell, lag)
     if R < 1:
         raise ValueError("R must be at least 1")
     if xi_kind not in XI_KINDS:
@@ -270,8 +227,25 @@ def suave_multivariate(
     if xi_kind == "optimal" and h.arity != 1:
         raise ValueError("optimal selection probabilities require a scalar test function")
     rng = as_generator(rng)
-    summaries = _draw_summaries(bundle, h, k, ell, lag, R, xi_kind, rng, second_moment_table)
-    vhat_pi = _target_covariance(summaries[0].moments, summaries[1].moments)
+    measures = _draw_measures(bundle, k, ell, lag, rng)
+    moments = [_moments(pihat, h) for pihat in measures]
+
+    # Both selections precede any fishy estimate: each measure's optimal
+    # probabilities depend on the other's integral of h.  A reservoir draws R
+    # uniform atoms from about R (1 + ln N) uniforms, each of probability 1/N.
+    selections = []
+    for pihat, (other_mean_h, _) in zip(measures, moments[::-1]):
+        if xi_kind == "uniform":
+            idx = reservoir_select(pihat.atoms, R, rng)
+            probs = [1.0 / pihat.n_atoms] * R
+        else:
+            # other_mean_h is a float at arity 1, the only arity that reads it
+            xi = selection_probs(pihat, h, other_mean_h, second_moment_table, xi_kind).xi
+            idx = _categorical(xi, R, rng)
+            probs = xi[idx].tolist()
+        atoms = [pihat.atoms[i] for i in idx.tolist()]
+        selections.append(zip(atoms, pihat.weights[idx].tolist(), probs))
+    vhat_pi = _target_covariance(*moments)
 
     # as in _moments: Python floats at arity 1, arrays and np.outer otherwise
     d = h.arity
@@ -279,21 +253,17 @@ def suave_multivariate(
     outer = operator.mul if d == 1 else np.outer
     correction = 0.0
     cost_fishy = 0
-    for summary, other in zip(summaries, summaries[::-1]):
-        for z, w, prob in zip(
-            summary.selected_atoms,
-            summary.selected_weights.tolist(),
-            summary.selected_probs,
-        ):
+    for selected, (other_mean_h, _) in zip(selections, moments[::-1]):
+        for z, w, prob in selected:
             fishy = estimate_fishy(bundle.kernel, h, z, y, rng)
             cost_fishy += fishy.cost_units
-            centred = hfn(z) - other.moments[0]
+            centred = hfn(z) - other_mean_h
             g = fishy.scalar if d == 1 else fishy.value
             correction += (w / prob) * 0.5 * (outer(centred, g) + outer(g, centred))
     correction /= R
 
     value = -vhat_pi + correction
-    cost_measures = summaries[0].cost_units + summaries[1].cost_units
+    cost_measures = measures[0].cost_units + measures[1].cost_units
     return AvarEstimate(
         value=float(np.ravel(value)[0]) if d == 1 else value,
         cost_total=cost_measures + cost_fishy,

@@ -382,11 +382,13 @@ class FiniteChainModel:
         if not np.isfinite(h).all():
             raise ValueError("h_values must be finite")
         n = p.shape[0]
-        support = (p > 0.0).astype(float)
-        if not _power_is_positive(np.maximum(np.eye(n), support), n - 1):
+        support = p > 0.0
+        level = _levels(support)
+        if level.min() < 0 or _levels(support.T).min() < 0:
             raise ValueError("chain is not irreducible")
-        # Wielandt: an irreducible chain is aperiodic iff A^((n-1)^2+1) > 0
-        if not _power_is_positive(support, (n - 1) ** 2 + 1):
+        # the period divides every cycle's length, and so every gap
+        # level(i) + 1 - level(j) over edges i -> j; their gcd is the period
+        if np.gcd.reduce(np.abs(level[:, None] + 1 - level)[support]) != 1:
             raise ValueError("chain is not aperiodic")
         object.__setattr__(self, "transition_matrix", p)
         object.__setattr__(self, "h_values", h)
@@ -412,18 +414,15 @@ class FiniteChainModel:
         return TestFunction(lambda s: h[s], arity=h.shape[1], label="finite-table")
 
 
-def _power_is_positive(a: np.ndarray, k: int) -> bool:
-    """Whether the 0/1 matrix power ``a^k`` is positive everywhere, by repeated squaring.
-
-    Entries are clipped to 1 after every product, so float arithmetic stays exact.
-    """
-    out = np.eye(a.shape[0])
-    while k:
-        if k & 1:
-            out = np.minimum(out @ a, 1)
-        a = np.minimum(a @ a, 1)
-        k >>= 1
-    return bool(out.all())
+def _levels(support: np.ndarray) -> np.ndarray:
+    """Breadth-first level of each state from state 0 along a boolean support's edges, or -1."""
+    level = np.full(len(support), -1)
+    frontier, depth = np.zeros(1, dtype=np.intp), 0
+    while frontier.size:
+        level[frontier] = depth
+        frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
+        depth += 1
+    return level
 
 
 def _finite_path(cum: Sequence[list[float]], s: int, n: int, rng) -> list:

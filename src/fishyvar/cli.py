@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -270,17 +270,7 @@ def _run_theory_check(cfg: ExperimentConfig, out_dir: Path) -> dict:
     empirical = (taus[None, :] > n[:, None]).mean(axis=1)
     rows = list(zip(n.tolist(), np.asarray(bounds).tolist(), empirical.tolist()))
     _emit(cfg, out_dir, "theory_check", ("n", "bound", "empirical"), rows)
-    return {
-        "phi": phi,
-        "sigma": sigma,
-        "beta": bound.beta,
-        "b": bound.b,
-        "h_const": bound.h_const,
-        "delta": bound.delta,
-        "beta_tilde": bound.beta_tilde,
-        "beta_bar": bound.beta_bar,
-        "dominates": bool(np.all(empirical <= np.asarray(bounds) + 1e-12)),
-    }
+    return {**asdict(bound), "dominates": bool(np.all(empirical <= np.asarray(bounds) + 1e-12))}
 
 
 def _run_oracle(cfg: ExperimentConfig, out_dir: Path) -> dict:

@@ -22,7 +22,6 @@ from .chains import CoupledKernel, State, TestFunction, _state_equality
 from .rng import LaneDraws, RngStream, as_generator
 from .simulate import (
     _CHUNK_STEPS,
-    DEFAULT_TRANSITION_BUDGET,
     TransitionBudgetError,
     _last_step,
     lane_batches,
@@ -65,7 +64,6 @@ def estimate_fishy(
     x: State,
     y: State,
     rng: np.random.Generator | RngStream,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
 ) -> FishyEstimate:
     """Unbiased estimate of g(x) - g(y) from one lag-0 coupled run.
 
@@ -78,7 +76,7 @@ def estimate_fishy(
         return FishyEstimate(np.zeros(h.arity), y, x, 0, 0)
     hfn = h.evaluator
     acc = hfn(x) - hfn(y)
-    tau_max = _last_step(budget, 0)
+    tau_max = _last_step(0)
     path = kernel.coupled_path
     xs, ys = path(x, y, rng, tau_max if tau_max < _CHUNK_STEPS else _CHUNK_STEPS)
     tau = len(xs)
@@ -118,8 +116,8 @@ class FishyProfile:
 
     Rows follow grid order.  ``second_moment`` is the raw second moment of the
     estimator at each point, the quantity the optimal selection probabilities
-    need; ``lookup_second_moment`` serves it by nearest grid point, the first
-    such point on ties, and ``lookup_second_moments`` serves many points at once.
+    need; ``lookup_second_moments`` serves it at many points at once, each by
+    its nearest grid point, the first such point on ties.
     """
 
     x: np.ndarray
@@ -129,9 +127,6 @@ class FishyProfile:
     mean_cost: np.ndarray
     anchor: State
     n_reps: int
-
-    def lookup_second_moment(self, point: State) -> float:
-        return float(self.lookup_second_moments([point])[0])
 
     def lookup_second_moments(self, points: Sequence[State]) -> np.ndarray:
         """Second moment at each point's nearest grid point, from one argmin over the grid."""

@@ -48,8 +48,9 @@ DEFAULT_TRANSITION_BUDGET = 10**8
 _CHUNK_STEPS = 4096
 
 
-def _last_step(budget: int, lag: int) -> int:
-    """The X index of the last coupled step a run with ``lag`` may take within ``budget``."""
+def _last_step(lag: int) -> int:
+    """The X index of the last coupled step a run with ``lag`` may take within the budget."""
+    budget = DEFAULT_TRANSITION_BUDGET  # read as each run starts, by all three loops
     # the cost after coupled step t - lag is lag + 2 (t - lag) = 2 t - lag;
     # the budget trips at the first step reaching it
     return (budget + lag + 1) // 2 if budget > lag + 1 else lag + 1
@@ -113,7 +114,6 @@ def run_coupled(
     rng: np.random.Generator | RngStream | None = None,
     *,
     keep_paths: bool = True,
-    budget: int = DEFAULT_TRANSITION_BUDGET,
     on_x: Callable[[int, State], None] | None = None,
     on_y: Callable[[int, State], None] | None = None,
 ) -> CoupledRun:
@@ -127,7 +127,7 @@ def run_coupled(
     :meth:`CoupledKernel.coupled_path`); the coupled phase runs in pieces of
     at most ``_CHUNK_STEPS`` steps, and stops with a
     :class:`TransitionBudgetError` after the first coupled step that brings
-    the cost to ``budget`` without a meeting.
+    the cost to ``DEFAULT_TRANSITION_BUDGET`` without a meeting.
 
     Streaming consumers can pass ``on_x`` / ``on_y`` visitors, called once per
     stored index in order, and set ``keep_paths=False`` to bound memory.
@@ -155,7 +155,7 @@ def run_coupled(
 
     t = lag  # index of the X chain
     if lag or not met(x0, y0):
-        t_max = _last_step(budget, lag)
+        t_max = _last_step(lag)
         y = y0
         while True:
             steps = t_max - t
@@ -333,8 +333,8 @@ class _Unserved(BaseException):
 class _ScalarIntegers:
     """Serves ``count`` scalar ``integers(bound)`` calls of one int bound from one sized draw.
 
-    The first call, of a Python int, draws, and later calls pass on the
-    identity of its bound object.  Any other call, or attribute, raises
+    Every call passes a Python int bound; the first draws, and later calls
+    pass on a bound equal to its.  Any other call, or attribute, raises
     :class:`_Unserved`, and so does a call past ``count``.
     """
 
@@ -344,7 +344,7 @@ class _ScalarIntegers:
         self._failed = False
 
     def integers(self, bound, *args, **kwargs):
-        if bound is not self._bound or args or kwargs:
+        if type(bound) is not int or bound != self._bound or args or kwargs:
             if self._bound is not None or args or kwargs or type(bound) is not int:
                 self._refuse()
             self._bound = bound
@@ -394,7 +394,7 @@ def lockstep(
     tau = np.zeros(len(lanes), dtype=np.int64)
     apart = lanes if lag else lanes[x0 != y0]
     ahead = none if lag else lanes[x0 == y0]  # met lanes whose X runs on to the horizon
-    t_max = _last_step(DEFAULT_TRANSITION_BUDGET, lag)
+    t_max = _last_step(lag)
     step, coupled = kernel.base.step, kernel.coupled_step
     if visit is not None:
         visit(0, x, y, none)

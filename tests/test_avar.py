@@ -132,7 +132,6 @@ def test_optimal_profile_lookup_matches_per_atom_lookup_with_ties():
     # the per-atom lookup, written out: np.argmin returns the first minimum
     per_atom = [float(table.second_moment[np.argmin(np.abs(grid - z))]) for z in atoms]
     assert table.lookup_second_moments(atoms).tolist() == per_atom
-    assert [table.lookup_second_moment(z) for z in atoms] == per_atom
     assert table.lookup_second_moments([1.5, 2.0]).tolist() == [table.second_moment[0]] * 2
     weights = rng.uniform(-1.0, 1.0, len(atoms))
     pihat = _toy_measure(atoms, weights)
@@ -353,9 +352,9 @@ def test_suave_label_symmetry_distributional(np_rng, monkeypatch):
         )
 
     plain = batch(RngStream(8))
-    # swap the two measure summaries after they are drawn
-    draw = avar._draw_summaries
-    monkeypatch.setattr(avar, "_draw_summaries", lambda *args: draw(*args)[::-1])
+    # swap the two measures after they are drawn
+    draw = avar._draw_measures
+    monkeypatch.setattr(avar, "_draw_measures", lambda *args: draw(*args)[::-1])
     swapped = batch(RngStream(9))
     assert stats.ks_2samp(plain, swapped).pvalue > 1e-3
 
@@ -426,21 +425,32 @@ def test_suave_argument_validation(np_rng):
         suave_multivariate(bundle, h, 1, 5, 1, 1, 0, xi_kind="bogus")
 
 
-def test_suave_uniform_never_selects_zero_weight_atoms(np_rng):
+def _recording(fn, results: list):
+    """``fn``, appending each result to ``results``."""
+
+    def recorded(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    return recorded
+
+
+def test_suave_uniform_never_selects_zero_weight_atoms(np_rng, monkeypatch):
     # with k = ell and lag 3, two of every three correction pairs have v_t = 0
     model = random_finite_chain(np_rng)
     bundle = _finite_bundle(model)
     h = model.test_function()
     k = ell = 0
     lag, R = 3, 10
+    measures, selections = [], []
+    monkeypatch.setattr(avar, "_draw_measures", _recording(avar._draw_measures, measures))
+    monkeypatch.setattr(avar, "reservoir_select", _recording(avar.reservoir_select, selections))
     zero_atoms = 0
     for seed in range(300):
-        summaries = avar._draw_summaries(
-            bundle, h, k, ell, lag, R, "uniform", RngStream(13, seed).generator(), None
-        )
-        for summary in summaries:
-            assert len(summary.selected_weights) == R
-            assert np.all(summary.selected_weights != 0.0)
+        suave_multivariate(bundle, h, k, ell, lag, R, 0, rng=RngStream(13, seed).generator())
+        for pihat, idx in zip(measures[-1], selections[-2:], strict=True):
+            assert len(idx) == R
+            assert np.all(pihat.weights[idx] != 0.0)
         # replay the first run on the same stream to confirm zero weights occur
         rng = RngStream(13, seed).generator()
         x0, y0 = bundle.init_sampler(rng), bundle.init_sampler(rng)

@@ -404,6 +404,55 @@ def test_chain_validation_matches_a_graph_search_on_random_supports():
     assert seen == {None, "irreducible", "aperiodic"}
 
 
+def _power_is_positive(a: np.ndarray, k: int) -> bool:
+    """Whether the 0/1 matrix power ``a^k`` is positive everywhere, by repeated squaring."""
+    out = np.eye(a.shape[0])
+    while k:
+        if k & 1:
+            out = np.minimum(out @ a, 1)  # clipped to 1, so float products stay exact
+        a = np.minimum(a @ a, 1)
+        k >>= 1
+    return bool(out.all())
+
+
+def _matrix_power_defect(support) -> str | None:
+    """Matrix-power reference: (I + A)^(n-1) > 0 iff irreducible; then, by
+    Wielandt, A^((n-1)^2+1) > 0 iff aperiodic."""
+    a = np.asarray(support, dtype=float)
+    n = a.shape[0]
+    if not _power_is_positive(np.maximum(np.eye(n), a), n - 1):
+        return "irreducible"
+    return None if _power_is_positive(a, (n - 1) ** 2 + 1) else "aperiodic"
+
+
+def _supports(rng, count):
+    """Random supports of 1-8 states, and cycles with and without one chord."""
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        if i % 3 == 0:
+            support = rng.random((n, n)) < rng.uniform(0.1, 0.7)
+            support[np.arange(n), rng.integers(n, size=n)] = True  # no empty row
+        else:
+            support = np.roll(np.eye(n, dtype=bool), 1, axis=1)  # i -> i + 1 mod n
+            if i % 3 == 2:
+                support[rng.integers(n), rng.integers(n)] = True
+        yield support
+
+
+def test_chain_validation_matches_the_matrix_power_rule():
+    seen = set()
+    for support in _supports(np.random.default_rng(22), 3000):
+        expected = _matrix_power_defect(support)
+        seen.add(expected)
+        try:
+            FiniteChainModel(_stochastic(support), np.zeros(len(support)))
+            got = None
+        except ValueError as exc:
+            got = str(exc).removeprefix("chain is not ")
+        assert got == expected, support.astype(int)
+    assert seen == {None, "irreducible", "aperiodic"}
+
+
 def test_import_does_not_load_networkx():
     import fishyvar
 

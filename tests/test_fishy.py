@@ -6,6 +6,7 @@ from fishyvar.couplings import ar1_kernel, finite_kernel
 from fishyvar.fishy import estimate_fishy, estimate_fishy_randomized, fishy_profile
 from fishyvar.oracle import ar1_fishy_exact, solve_finite
 from fishyvar.rng import RngStream
+from fishyvar import simulate
 from fishyvar.simulate import TransitionBudgetError, run_coupled
 
 from conftest import mc_mean_se, random_finite_chain, vector_ar1_kernel
@@ -20,7 +21,7 @@ def test_equal_points_give_zero_at_zero_cost():
     assert est.tau == 0 and est.cost_units == 0
 
 
-def test_budget_abort():
+def test_budget_abort(monkeypatch):
     kernel = ar1_kernel(Ar1Model(0.99, 1.0))
 
     def never_meet(x, y, rng):
@@ -28,8 +29,9 @@ def test_budget_abort():
         return nxt, nxt + 1.0
 
     broken = CoupledKernel(kernel.base, never_meet)
+    monkeypatch.setattr(simulate, "DEFAULT_TRANSITION_BUDGET", 100)
     with pytest.raises(TransitionBudgetError) as info:
-        estimate_fishy(broken, IDENTITY, 0.0, 5.0, RngStream(5).generator(), budget=100)
+        estimate_fishy(broken, IDENTITY, 0.0, 5.0, RngStream(5).generator())
     assert info.value.transitions == 100
 
 
@@ -219,8 +221,8 @@ def test_profile_slope_recovers_fishy_gradient():
 def test_profile_second_moment_lookup_uses_nearest_point():
     kernel = ar1_kernel(Ar1Model(0.5))
     profile = fishy_profile(kernel, IDENTITY, [-2.0, 0.0, 2.0], 0.0, 500, RngStream(11))
-    assert profile.lookup_second_moment(1.8) == profile.second_moment[2]
-    assert profile.lookup_second_moment(-0.4) == profile.second_moment[1]
+    looked_up = profile.lookup_second_moments([1.8, -0.4])
+    assert looked_up.tolist() == profile.second_moment[[2, 1]].tolist()
 
 
 def test_profile_requires_replication():

@@ -406,6 +406,17 @@ def test_the_finite_initial_law_draws_all_lane_starts_at_once():
     assert x0.tolist() == starts[::2] and y0.tolist() == starts[1::2]
 
 
+def test_an_equal_int_bound_in_a_new_object_takes_one_sized_draw():
+    init = STARTS["equal bound, new object"]
+    assert int("300") is not int("300")  # each call builds its own bound object
+    rng = CountingGenerator(np.random.Philox(5))
+    x0, y0 = simulate.lane_starts(init, rng, LANES)
+    assert rng.calls == 1
+    sequential = np.random.Generator(np.random.Philox(5))
+    starts = [init(sequential) for _ in range(2 * LANES)]
+    assert x0.tolist() == starts[::2] and y0.tolist() == starts[1::2]
+
+
 def test_step_counters_lie_above_every_initial_state_draw():
     batch = RngStream(12).child(0)
     rng = batch.generator()
@@ -420,14 +431,14 @@ def test_budget_trips_per_lane_at_the_scalar_cost(monkeypatch):
     stream = RngStream(14)
     lag, budget = 1, 5  # at most two coupled steps
     x0, y0 = simulate.lane_starts(init, stream.generator(), 40)
-    # lockstep reads the budget when it runs
+    # lockstep and run_coupled read the budget when they run
     monkeypatch.setattr(simulate, "DEFAULT_TRANSITION_BUDGET", budget)
     with pytest.raises(TransitionBudgetError) as lanes:
         lockstep(kernel, x0, y0, lag, 0, LaneDraws(stream))
     scalar = None
     for seed in range(200):
         try:
-            run_coupled(kernel, 0, 1, lag, 0, RngStream(15, seed).generator(), budget=budget)
+            run_coupled(kernel, 0, 1, lag, 0, RngStream(15, seed).generator())
         except TransitionBudgetError as exc:
             scalar = exc
             break

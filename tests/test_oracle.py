@@ -6,6 +6,7 @@ import pytest
 from fishyvar.chains import FiniteChainModel
 from fishyvar.couplings import ar1_kernel
 from fishyvar.chains import Ar1Model
+from fishyvar import oracle
 from fishyvar.oracle import (
     Ar1TheoryBound,
     ar1_avar_exact,
@@ -43,6 +44,20 @@ def test_two_state_chain_matches_series_oracle():
     series = solve_finite_series(model)
     assert abs(sol.v_scalar - series.v_scalar) < 1e-8
     np.testing.assert_allclose(sol.g_star, series.g_star, atol=1e-8)
+
+
+def test_series_oracle_raises_when_it_does_not_converge(monkeypatch):
+    # the increment shrinks by 1 - 2 eps = 0.98 per term and falls below the
+    # tolerance after about 1600 terms
+    eps = 0.01
+    model = FiniteChainModel(
+        np.array([[1 - eps, eps], [eps, 1 - eps]]), np.array([[1.0], [0.0]])
+    )
+    monkeypatch.setattr(oracle, "SERIES_MAX_TERMS", 1000)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        oracle.fishy_series(model)
+    monkeypatch.setattr(oracle, "SERIES_MAX_TERMS", 2000)
+    np.testing.assert_allclose(oracle.fishy_series(model), solve_finite(model).g_star, atol=1e-10)
 
 
 def test_relabeling_permutes_fishy_and_preserves_variance(np_rng):

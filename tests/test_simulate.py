@@ -179,7 +179,7 @@ def test_visitors_replay_the_retained_paths_in_order(np_rng, lag):
                 assert events[i - 1][:2] == ("x", s + lag)
 
 
-def test_budget_abort():
+def test_budget_abort(monkeypatch):
     kernel = ar1_kernel(Ar1Model(0.99, 1.0))
 
     def never_meet(x, y, rng):
@@ -187,8 +187,9 @@ def test_budget_abort():
         return nxt, nxt + 1.0
 
     broken = CoupledKernel(kernel.base, never_meet)
+    monkeypatch.setattr(simulate, "DEFAULT_TRANSITION_BUDGET", 1000)
     with pytest.raises(TransitionBudgetError):
-        run_coupled(broken, 0.0, 5.0, 0, 0, RngStream(5).generator(), budget=1000)
+        run_coupled(broken, 0.0, 5.0, 0, 0, RngStream(5).generator())
 
 
 def test_sample_meetings_replicate_r_runs_on_child_r():

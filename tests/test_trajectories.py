@@ -26,6 +26,7 @@ from fishyvar.couplings import (
     finite_kernel,
     reflection_maximal_1d,
 )
+from fishyvar import simulate
 from fishyvar.fishy import estimate_fishy
 from fishyvar.rng import RngStream
 from fishyvar.simulate import TransitionBudgetError, run_coupled
@@ -229,14 +230,15 @@ def _steps_before_the_budget_trips(lag: int, budget: int) -> int:
 
 @pytest.mark.parametrize("lag", [0, 1, 2, 5])
 @pytest.mark.parametrize("budget", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 100, 101])
-def test_budget_trips_at_the_same_step_on_a_coupling_that_never_meets(lag, budget):
+def test_budget_trips_at_the_same_step_on_a_coupling_that_never_meets(lag, budget, monkeypatch):
     # CRN AR(1) shrinks a gap of 1 by phi per step; it meets only once phi^t
     # falls below the float spacing, after about 350 steps
     kernel = ar1_kernel(Ar1Model(0.9, 1.0), "common-random-numbers")
     steps = _steps_before_the_budget_trips(lag, budget)
     a, b = _twins(3)
+    monkeypatch.setattr(simulate, "DEFAULT_TRANSITION_BUDGET", budget)
     with pytest.raises(TransitionBudgetError) as info:
-        run_coupled(kernel, 0.0, 1.0, lag, 0, a, budget=budget)
+        run_coupled(kernel, 0.0, 1.0, lag, 0, a)
     assert (info.value.lag, info.value.transitions) == (lag, lag + 2 * steps)
     # the warm-up and each coupled step drew one normal each
     [b.standard_normal() for _ in range(lag + steps)]
@@ -244,13 +246,14 @@ def test_budget_trips_at_the_same_step_on_a_coupling_that_never_meets(lag, budge
 
 
 @pytest.mark.parametrize("budget", [-1, 0, 1, 2, 3, 4, 5, 100, 101])
-def test_fishy_budget_trips_at_the_same_step_on_a_coupling_that_never_meets(budget):
+def test_fishy_budget_trips_at_the_same_step_on_a_coupling_that_never_meets(budget, monkeypatch):
     kernel = ar1_kernel(Ar1Model(0.9, 1.0), "common-random-numbers")
     h = TestFunction(lambda x: x, 1, "identity")
     steps = _steps_before_the_budget_trips(0, budget)
     a, b = _twins(4)
+    monkeypatch.setattr(simulate, "DEFAULT_TRANSITION_BUDGET", budget)
     with pytest.raises(TransitionBudgetError) as info:
-        estimate_fishy(kernel, h, 0.0, 1.0, a, budget=budget)
+        estimate_fishy(kernel, h, 0.0, 1.0, a)
     assert info.value.transitions == 2 * steps
     [b.standard_normal() for _ in range(steps)]
     assert _same_next_draws(a, b)

@@ -99,7 +99,12 @@ def _is_int_literal(cell: str) -> bool:
 
 
 def _scale(values) -> float:
-    magnitudes = [abs(v) for v in values if isinstance(v, float) and math.isfinite(v)]
+    """Largest finite float magnitude in a column or field, nested lists included."""
+    magnitudes = [
+        _scale(v) if isinstance(v, list) else abs(v)
+        for v in values
+        if isinstance(v, list) or isinstance(v, float) and math.isfinite(v)
+    ]
     return max(magnitudes, default=0.0)
 
 
@@ -151,6 +156,14 @@ def compare_csv(expected_path: Path, actual_path: Path) -> None:
         scale = _scale(values)
         for row, (e, a) in enumerate(zip(values, got), start=1):
             _close(e, float(a), scale, f"{actual_path.name}:{name}[{row}]")
+
+
+def test_matrix_fields_scale_by_their_largest_entry():
+    # a d x d matrix (the oracle's g_star and v) is one field, as a flat list is
+    expected = {"v": [[2.0, -0.5], [-0.5, 1.0]]}
+    compare_json(expected, {"v": [[2.0 + 1e-15, -0.5], [-0.5, 1.0 - 1e-15]]}, "v.json")
+    with pytest.raises(AssertionError, match="differs"):
+        compare_json(expected, {"v": [[2.0, -0.5], [-0.5, 1.0 + 1e-6]]}, "v.json")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -45,7 +45,6 @@ from .fishy import (
     FishyEstimate,
     FishyProfile,
     estimate_fishy,
-    estimate_fishy_randomized,
     fishy_profile,
 )
 from .oracle import (
@@ -54,9 +53,7 @@ from .oracle import (
     ar1_avar_exact,
     ar1_fishy_exact,
     ar1_survival_bound,
-    fishy_series,
     solve_finite,
-    solve_finite_series,
 )
 from .rng import RngStream
 from .simulate import (

@@ -3,8 +3,7 @@
 For a test function h with stationary mean pi(h), the fishy function g solves
 (I - P) g = h - pi(h).  Running a lag-0 coupled pair from (x, y) until its
 meeting time tau, the telescoping sum of h(X_t) - h(Y_t) over t < tau is an
-unbiased estimate of g(x) - g(y): the anchored fishy value.  Anchors can also
-be drawn from an arbitrary distribution, which shifts the estimand's constant.
+unbiased estimate of g(x) - g(y): the anchored fishy value.
 
 Each estimate consumes two kernel transitions per coupled step, so its cost is
 2 tau units.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "FishyEstimate",
     "FishyProfile",
     "estimate_fishy",
-    "estimate_fishy_randomized",
     "fishy_profile",
 ]
 
@@ -92,22 +90,6 @@ def estimate_fishy(
         left = tau_max - tau
         xs, ys = path(cx, cy, rng, left if left < _CHUNK_STEPS else _CHUNK_STEPS)
         tau += len(xs)
-
-
-def estimate_fishy_randomized(
-    kernel: CoupledKernel,
-    h: TestFunction,
-    x: State,
-    nu_sampler: Callable[[np.random.Generator], State],
-    rng: np.random.Generator | RngStream,
-) -> FishyEstimate:
-    """Fishy estimate with a randomized anchor Y_0 drawn from ``nu_sampler``.
-
-    The estimand becomes g(x) minus the nu-average of g.
-    """
-    rng = as_generator(rng)
-    y0 = nu_sampler(rng)
-    return estimate_fishy(kernel, h, x, y0, rng)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Exact ground truth for validating the stochastic estimators.
 
-Finite-state chains admit linear-algebra solutions: the stationary law is a
-left eigenvector, the mean-zero Poisson-equation solution comes from a
-constrained least-squares solve (the operator I - P is rank-deficient by one
-on irreducible chains, so the zero-mean constraint is appended as an extra
-row), and the asymptotic covariance follows entrywise.  A truncated power
-series provides an independent second oracle for cross-checks.
+Finite-state chains admit linear-algebra solutions.  By the fundamental-matrix
+identities of Kemeny & Snell (1960, *Finite Markov Chains*), I - P + 1 mu is
+nonsingular on an irreducible chain for any probability vector mu, so the
+stationary law and the mean-zero Poisson-equation solution each come from one
+direct solve, and the asymptotic covariance follows from both.
 
 For the AR(1) chain with reflection-maximal coupling there are closed forms
 for the fishy function and the asymptotic variance, plus an explicit
@@ -25,8 +24,6 @@ __all__ = [
     "OracleSolution",
     "Ar1TheoryBound",
     "solve_finite",
-    "fishy_series",
-    "solve_finite_series",
     "ar1_fishy_exact",
     "ar1_avar_exact",
     "ar1_survival_bound",
@@ -54,84 +51,31 @@ class OracleSolution:
 def solve_finite(model: FiniteChainModel) -> OracleSolution:
     """Exact solution of the Poisson equation on a finite chain.
 
-    Solves pi P = pi, then (I - P) g = h - pi(h) with the constraint
-    pi . g = 0 appended, and assembles the asymptotic covariance from the
-    entrywise combination of cross moments and fishy products.
+    With A(mu) = I - P + 1 mu, nonsingular on an irreducible chain for any
+    probability vector mu, pi solves pi A(u) = u for the uniform law u, and g
+    solves A(pi) g = h - pi(h), which also forces pi . g = 0.  The asymptotic
+    covariance is pi(h0 g^T + g h0^T - h0 h0^T), summed as c + c^T so that it
+    is exactly symmetric.
     """
     p = model.transition_matrix
     h = model.h_values
-    n, d = h.shape
-    pi = _stationary(p)
-    pi_h = pi @ h
-    h0 = h - pi_h
-    a_g = np.vstack([np.eye(n) - p, pi[None, :]])
-    b_g = np.vstack([h0, np.zeros((1, d))])
-    g_star, *_ = np.linalg.lstsq(a_g, b_g, rcond=None)
-
-    v = _avar_matrix(pi, h0, g_star)
-    return OracleSolution(pi=pi, g_star=g_star, v=v, pi_h=pi_h)
-
-
-def _stationary(p: np.ndarray) -> np.ndarray:
     n = p.shape[0]
-    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    u = np.full(n, 1.0 / n)
+    i_minus_p = np.eye(n) - p
+    try:
+        pi = np.linalg.solve((i_minus_p + u).T, u)
+    except np.linalg.LinAlgError:  # fails the residual check below
+        pi = np.full(n, np.nan)
     residual = np.abs(pi @ p - pi).max()
-    if residual > 1e-10 or np.any(pi < -1e-12):
+    if not residual <= 1e-10 or np.any(pi < -1e-12):
         raise ValueError(f"stationary solve failed (residual {residual:.2e})")
     pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
-
-
-def _avar_matrix(pi: np.ndarray, h0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    d = h0.shape[1]
-    v = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            v[i, j] = -pi @ (h0[:, i] * h0[:, j]) + pi @ (h0[:, i] * g[:, j] + g[:, i] * h0[:, j])
-    return v
-
-
-SERIES_TOL = 1e-14
-SERIES_PATIENCE = 10
-SERIES_MAX_TERMS = 10**6
-
-
-def fishy_series(model: FiniteChainModel) -> np.ndarray:
-    """Mean-zero fishy function by truncated power series, an independent oracle.
-
-    Sums P^t (h - pi(h)) until the increment's max norm stays below
-    ``SERIES_TOL`` for ``SERIES_PATIENCE`` consecutive terms, failing after
-    ``SERIES_MAX_TERMS`` terms.
-    """
-    p = model.transition_matrix
-    h = model.h_values
-    pi = _stationary(p)
-    term = h - pi @ h
-    total = term.copy()
-    small = 0
-    for _ in range(SERIES_MAX_TERMS):
-        term = p @ term
-        total += term
-        if np.abs(term).max() < SERIES_TOL:
-            small += 1
-            if small >= SERIES_PATIENCE:
-                return total
-        else:
-            small = 0
-    raise RuntimeError("fishy power series did not converge")
-
-
-def solve_finite_series(model: FiniteChainModel) -> OracleSolution:
-    """Second oracle: same quantities with the series-based fishy function."""
-    pi = _stationary(model.transition_matrix)
-    h = model.h_values
+    pi /= pi.sum()
     pi_h = pi @ h
-    g = fishy_series(model)
-    v = _avar_matrix(pi, h - pi_h, g)
-    return OracleSolution(pi=pi, g_star=g, v=v, pi_h=pi_h)
+    h0 = h - pi_h
+    g_star = np.linalg.solve(i_minus_p + pi, h0)
+    c = (pi[:, None] * h0).T @ (g_star - h0 / 2.0)
+    return OracleSolution(pi=pi, g_star=g_star, v=c + c.T, pi_h=pi_h)
 
 
 # ---------------------------------------------------------------------------

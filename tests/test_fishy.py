@@ -3,7 +3,7 @@ import pytest
 
 from fishyvar.chains import Ar1Model, CoupledKernel, TestFunction
 from fishyvar.couplings import ar1_kernel, finite_kernel
-from fishyvar.fishy import estimate_fishy, estimate_fishy_randomized, fishy_profile
+from fishyvar.fishy import estimate_fishy, fishy_profile
 from fishyvar.oracle import ar1_fishy_exact, solve_finite
 from fishyvar.rng import RngStream
 from fishyvar import simulate
@@ -162,16 +162,6 @@ def test_values_stay_finite(np_rng):
         assert np.isfinite(est.value).all()
 
 
-def test_randomized_anchor_point_mass_reduces_to_fixed_anchor():
-    kernel = ar1_kernel(Ar1Model(0.7))
-    fixed = estimate_fishy(kernel, IDENTITY, 1.5, -0.5, RngStream(6).generator())
-    randomized = estimate_fishy_randomized(
-        kernel, IDENTITY, 1.5, lambda rng: -0.5, RngStream(6).generator()
-    )
-    assert randomized.value[0] == fixed.value[0]
-    assert randomized.tau == fixed.tau
-
-
 def test_randomized_anchor_from_stationary_target(np_rng):
     # anchors drawn from the stationary law make the estimand g_star itself
     model = random_finite_chain(np_rng)
@@ -184,7 +174,7 @@ def test_randomized_anchor_from_stationary_target(np_rng):
     x = 2
     values = np.empty(n)
     for i in range(n):
-        values[i] = estimate_fishy_randomized(kernel, h, x, nu, rng).value[0]
+        values[i] = estimate_fishy(kernel, h, x, nu(rng), rng).value[0]
     mean, se = mc_mean_se(values)
     assert abs(mean - oracle.g_star[x, 0]) < 3 * se
 
@@ -194,7 +184,7 @@ def test_randomized_anchor_constant_h_zero():
     const = TestFunction(lambda x: -1.0, 1, "const")
     rng = RngStream(8).generator()
     for _ in range(50):
-        est = estimate_fishy_randomized(kernel, const, 1.0, lambda r: r.standard_normal(), rng)
+        est = estimate_fishy(kernel, const, 1.0, rng.standard_normal(), rng)
         assert est.value[0] == 0.0
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,14 +7,12 @@ import pytest
 from fishyvar.chains import FiniteChainModel
 from fishyvar.couplings import ar1_kernel
 from fishyvar.chains import Ar1Model
-from fishyvar import oracle
 from fishyvar.oracle import (
     Ar1TheoryBound,
     ar1_avar_exact,
     ar1_fishy_exact,
     ar1_survival_bound,
     solve_finite,
-    solve_finite_series,
 )
 from fishyvar.rng import RngStream
 from fishyvar.simulate import run_coupled
@@ -35,29 +34,93 @@ def test_iid_chain_fishy_equals_centred_h():
     assert sol.v_scalar == pytest.approx(var, abs=1e-10)
 
 
+def series_reference(model):
+    """Independent reference: pi from an eigenvector, g by a power series.
+
+    Sums P^t (h - pi(h)), re-centring each term by pi so that rounding leaves
+    no eigenvalue-1 component to accumulate, until the increment's max norm
+    stays below 1e-14 for 10 terms; v is summed entrywise.
+    """
+    p = model.transition_matrix
+    h = model.h_values
+    values, vectors = np.linalg.eig(p.T)
+    pi = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+    pi /= pi.sum()
+    term = h - pi @ h
+    h0 = term.copy()
+    g = term.copy()
+    small = 0
+    for _ in range(10**5):
+        term = p @ term
+        term -= pi @ term
+        g += term
+        small = small + 1 if np.abs(term).max() < 1e-14 else 0
+        if small >= 10:
+            break
+    else:
+        raise AssertionError("the series reference did not converge")
+    d = h.shape[1]
+    v = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            v[i, j] = -pi @ (h0[:, i] * h0[:, j]) + pi @ (h0[:, i] * g[:, j] + g[:, i] * h0[:, j])
+    return g, v
+
+
 def test_two_state_chain_matches_series_oracle():
-    model = FiniteChainModel(
-        np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([[1.0], [0.0]])
-    )
+    # the second chain mixes slowly: the increment shrinks by 0.99 per term,
+    # so the series takes about 3150 terms
+    for matrix, pi in [
+        ([[0.8, 0.2], [0.3, 0.7]], [0.6, 0.4]),
+        ([[0.995, 0.005], [0.005, 0.995]], [0.5, 0.5]),
+    ]:
+        model = FiniteChainModel(np.array(matrix), np.array([[1.0], [0.0]]))
+        sol = solve_finite(model)
+        np.testing.assert_allclose(sol.pi, pi, atol=1e-12)
+        g, v = series_reference(model)
+        assert abs(sol.v_scalar - v[0, 0]) < 1e-8
+        np.testing.assert_allclose(sol.g_star, g, atol=1e-8)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.005, 0.001])
+def test_symmetric_two_state_chain_closed_form(eps):
+    # h0 = (1/2, -1/2) is an eigenvector of P for 1 - 2 eps
+    model = FiniteChainModel(np.array([[1 - eps, eps], [eps, 1 - eps]]), np.array([[1.0], [0.0]]))
     sol = solve_finite(model)
-    np.testing.assert_allclose(sol.pi, [0.6, 0.4], atol=1e-12)
-    series = solve_finite_series(model)
-    assert abs(sol.v_scalar - series.v_scalar) < 1e-8
-    np.testing.assert_allclose(sol.g_star, series.g_star, atol=1e-8)
+    np.testing.assert_allclose(sol.g_star[:, 0], [1 / (4 * eps), -1 / (4 * eps)], rtol=1e-9)
+    assert sol.v_scalar == pytest.approx(1 / (4 * eps) - 0.25, rel=1e-9)
 
 
-def test_series_oracle_raises_when_it_does_not_converge(monkeypatch):
-    # the increment shrinks by 1 - 2 eps = 0.98 per term and falls below the
-    # tolerance after about 1600 terms
-    eps = 0.01
-    model = FiniteChainModel(
-        np.array([[1 - eps, eps], [eps, 1 - eps]]), np.array([[1.0], [0.0]])
+def test_lazy_ring_closed_form():
+    # stay 1/2, step 1/4 each way; cos(2 pi i / n) is an eigenvector of P for
+    # lambda = (1 + cos(2 pi / n)) / 2, and 1 - lambda = sin(pi / n)^2
+    n = 2000
+    p = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
+    h = np.cos(2 * np.pi * np.arange(n) / n)
+    sol = solve_finite(FiniteChainModel(p, h[:, None]))
+    gap = math.sin(math.pi / n) ** 2
+    g_exact = h / gap
+    assert np.abs(sol.g_star[:, 0] - g_exact).max() <= 1e-9 * np.abs(g_exact).max()
+    assert sol.v_scalar == pytest.approx(1 / gap - 0.5, rel=1e-9)
+    np.testing.assert_allclose(sol.pi, 1 / n, rtol=1e-9)
+
+
+def test_covariance_is_exactly_symmetric(np_rng):
+    for _ in range(20):
+        sol = solve_finite(random_finite_chain(np_rng, n_states=int(np_rng.integers(2, 9)), d=3))
+        assert np.array_equal(sol.v, sol.v.T)
+
+
+def test_stationary_solve_failure_raises_value_error():
+    # a reducible chain makes the system singular; a matrix whose rows do not
+    # sum to one leaves a residual
+    singular = SimpleNamespace(transition_matrix=np.eye(2), h_values=np.zeros((2, 1)))
+    substochastic = SimpleNamespace(
+        transition_matrix=np.array([[0.5, 0.2], [0.3, 0.3]]), h_values=np.zeros((2, 1))
     )
-    monkeypatch.setattr(oracle, "SERIES_MAX_TERMS", 1000)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        oracle.fishy_series(model)
-    monkeypatch.setattr(oracle, "SERIES_MAX_TERMS", 2000)
-    np.testing.assert_allclose(oracle.fishy_series(model), solve_finite(model).g_star, atol=1e-10)
+    for model in (singular, substochastic):
+        with pytest.raises(ValueError, match="stationary solve failed"):
+            solve_finite(model)
 
 
 def test_relabeling_permutes_fishy_and_preserves_variance(np_rng):
@@ -76,8 +139,8 @@ def test_solver_and_series_agree_on_random_chains(np_rng):
     for _ in range(10):
         model = random_finite_chain(np_rng, n_states=int(np_rng.integers(2, 7)))
         a = solve_finite(model)
-        b = solve_finite_series(model)
-        assert abs(a.v_scalar - b.v_scalar) < 1e-8
+        _, v = series_reference(model)
+        assert abs(a.v_scalar - v[0, 0]) < 1e-8
 
 
 def test_solver_invariants(np_rng):

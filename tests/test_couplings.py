@@ -18,7 +18,7 @@ from fishyvar.couplings import (
     reflection_maximal_1d,
     reflection_maximal_nd,
 )
-from fishyvar.rng import RngStream
+from fishyvar.rng import RngStream, scalar_draws
 
 from conftest import plain_twins, random_finite_chain
 
@@ -367,6 +367,81 @@ def test_coupled_gibbs_from_equal_states_is_one_gibbs_step():
         a, b = kernel.coupled_step(theta, theta, rng)
         assert a == b == kernel.base.step(theta, rng_single)
         theta = a
+
+
+def _reference_maximal_coupling(log_p, sample_p, log_q, sample_q, rng):
+    """The rejection maximal coupling drawing its uniforms by ``rng.random()``."""
+    x = sample_p(rng)
+    w = rng.random()
+    if (math.log(w) if w > 0.0 else -math.inf) <= log_q(x) - log_p(x):
+        return x, x, True
+    while True:
+        y = sample_q(rng)
+        w = rng.random()
+        if (math.log(w) if w > 0.0 else -math.inf) > log_p(y) - log_q(y):
+            return x, y, False
+
+
+def _reference_coupled_gibbs_path(model, x, y, rng, max_steps):
+    """Coupled Gibbs sweeps building four lambdas per step, whose samplers call
+    ``r.standard_normal()``."""
+    draws = scalar_draws(rng)
+    normal, uniform = draws.next_normal, draws.next_uniform
+    prior_precision = 1.0 / model.prior_variance
+    xs, ys = [], []
+    for _ in range(max_steps):
+        s1 = sz1 = s2 = sz2 = 0.0
+        for z in model.observations:
+            u = uniform()
+            g = -2.0 * math.log(u) if u > 0.0 else math.inf
+            eta = g / (1.0 + (x - z) ** 2)
+            s1 += eta
+            sz1 += eta * z
+            eta = g / (1.0 + (y - z) ** 2)
+            s2 += eta
+            sz2 += eta * z
+        denom1, denom2 = s1 + prior_precision, s2 + prior_precision
+        m1, v1 = sz1 / denom1, 1.0 / denom1
+        m2, v2 = sz2 / denom2, 1.0 / denom2
+        if (m1 == m2 and v1 == v2) or v1 == 0.0:
+            x = y = m1 + math.sqrt(v1) * normal()
+        else:
+            sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+            c1, c2 = 0.5 * math.log(v1), 0.5 * math.log(v2)
+            x, y, _ = _reference_maximal_coupling(
+                lambda t: -0.5 * (t - m1) ** 2 / v1 - c1,
+                lambda r: m1 + sd1 * r.standard_normal(),
+                lambda t: -0.5 * (t - m2) ** 2 / v2 - c2,
+                lambda r: m2 + sd2 * r.standard_normal(),
+                rng,
+            )
+        xs.append(x)
+        ys.append(y)
+        if x == y:
+            break
+    return xs, ys
+
+
+@pytest.mark.parametrize("source", ["stream", "plain"])
+@pytest.mark.parametrize("start", [(0.3, 0.3), (5.0, 6.0), (-8.0, 17.0)], ids=["equal", "near", "far"])
+def test_coupled_gibbs_path_reads_the_reference_draws(source, start):
+    # same bits, same stop, and the same words left for the next normal and uniform
+    model = CauchyNormalModel()
+    path = cauchy_gibbs_kernel(model).coupled_path
+    for seed in range(20):
+        if source == "stream":
+            a, b = RngStream(seed).generator(), RngStream(seed).generator()
+        else:
+            a, b = plain_twins(seed)
+        x, y = start
+        for _ in range(5):  # back-to-back trajectories on one generator
+            xs, ys = path(x, y, a, 60)
+            ref_xs, ref_ys = _reference_coupled_gibbs_path(model, x, y, b, 60)
+            assert np.array(xs).tobytes() == np.array(ref_xs).tobytes()
+            assert np.array(ys).tobytes() == np.array(ref_ys).tobytes()
+            x, y = xs[-1] - 4.0, ys[-1] + 4.0
+        assert a.standard_normal() == b.standard_normal()
+        assert a.random() == b.random()
 
 
 class _ZeroUniforms:

@@ -71,20 +71,22 @@ def maximal_coupling(
     X is marginally p, Y marginally q, and P(X = Y) equals one minus the total
     variation distance between them.  Densities are supplied in log form and
     may be with respect to any common dominating measure (pmfs work too).
+    Its uniforms are ``scalar_draws(rng).next_uniform``.
 
     The rejection phase has unbounded cost in principle; a cap of
     ``DEFAULT_REJECTION_CAP`` iterations, read when the coupling runs, turns a
     pathological loop into a diagnosable failure.  The bounded-variance
     variant of this sampler is a known extension point, not implemented here.
     """
+    uniform = scalar_draws(rng).next_uniform
     x = sample_p(rng)
-    w = rng.random()
+    w = uniform()
     log_w = math.log(w) if w > 0.0 else -math.inf
     if log_w <= log_q(x) - log_p(x):
         return x, x, True
     for _ in range(DEFAULT_REJECTION_CAP):
         y = sample_q(rng)
-        w = rng.random()
+        w = uniform()
         log_w = math.log(w) if w > 0.0 else -math.inf
         if log_w > log_p(y) - log_q(y):
             return x, y, False
@@ -207,13 +209,17 @@ def _coupled_gibbs_path(model: CauchyNormalModel, x, y, rng, max_steps):
     chains: the auxiliary Exponential draws share uniforms through the
     inverse CDF, and the location updates are joined by
     :func:`maximal_coupling`, looked up when it runs, so its rejection loop
-    is capped at ``DEFAULT_REJECTION_CAP`` iterations.
+    is capped at ``DEFAULT_REJECTION_CAP`` iterations.  Its samplers draw the
+    loop's C-level normals and ignore the generator they are passed.
     """
     draws = scalar_draws(rng)
     normal, uniform = draws.next_normal, draws.next_uniform
     log, sqrt, inf = math.log, math.sqrt, math.inf
     observations = model.observations
     prior_precision = 1.0 / model.prior_variance
+    # built once per trajectory: each reads the sweep's m, v, sd and c when called
+    log_p, sample_p = (lambda t: -0.5 * (t - m1) ** 2 / v1 - c1), (lambda r: m1 + sd1 * normal())
+    log_q, sample_q = (lambda t: -0.5 * (t - m2) ** 2 / v2 - c2), (lambda r: m2 + sd2 * normal())
     xs, ys = [], []
     for _ in range(max_steps):
         s1 = sz1 = s2 = sz2 = 0.0
@@ -235,13 +241,7 @@ def _coupled_gibbs_path(model: CauchyNormalModel, x, y, rng, max_steps):
         else:
             sd1, sd2 = sqrt(v1), sqrt(v2)
             c1, c2 = 0.5 * log(v1), 0.5 * log(v2)
-            x, y, _ = maximal_coupling(
-                lambda t: -0.5 * (t - m1) ** 2 / v1 - c1,
-                lambda r: m1 + sd1 * r.standard_normal(),
-                lambda t: -0.5 * (t - m2) ** 2 / v2 - c2,
-                lambda r: m2 + sd2 * r.standard_normal(),
-                rng,
-            )
+            x, y, _ = maximal_coupling(log_p, sample_p, log_q, sample_q, rng)
         xs.append(x)
         ys.append(y)
         if x == y:
